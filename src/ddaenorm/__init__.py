@@ -42,7 +42,6 @@ from .interconnect import (
 from .norms import (
     BRANCH_ASYMPTOTIC,
     BRANCH_PLAIN,
-    LevelSetState,
     NormResult,
     frequency_bound,
     hinf_norm_T,
@@ -94,7 +93,6 @@ __all__ = [
     "EvaluationError",
     "FrequencyGrid",
     "InstabilityError",
-    "LevelSetState",
     "NormResult",
     "PerturbationRecord",
     "PerturbationStudy",

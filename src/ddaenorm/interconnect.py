@@ -126,6 +126,18 @@ def _canonical_terms(A0, delayed, merge_tol=MERGE_TOL):
     return A_list, tau
 
 
+def _append_slacks(sys: DdaeSystem, k: int):
+    """``E`` and the ``A`` list of ``sys`` with ``k`` slack states appended.
+
+    The slacks are algebraic (zero rows of ``E``) with ``-I`` as their block of
+    ``A_0``; callers fill in the couplings.
+    """
+    grow = ((0, k), (0, k))
+    A = [np.pad(Ai, grow) for Ai in sys.A]
+    A[0][sys.n:, sys.n:] = -np.eye(k)
+    return np.pad(sys.E, grow), A
+
+
 def close_feedback(plant: PlantBlock, ctrl: StaticDelayController) -> DdaeSystem:
     """Close the loop ``u(t) = K y(t - tau)`` around a plant without elimination.
 
@@ -164,17 +176,8 @@ def eliminate_feedthrough(sys: DdaeSystem, D2) -> DdaeSystem:
     transfer function of the result equals ``T_old + D2`` pointwise.
     """
     D2 = _mat(D2, "D2", rows=sys.p_out, cols=sys.p_in)
-    n, p = sys.n, sys.p_in
-    E = np.zeros((n + p, n + p))
-    E[:n, :n] = sys.E
-    def lift(M):
-        out = np.zeros((n + p, n + p))
-        out[:n, :n] = M
-        return out
-    A0 = lift(sys.A[0])
-    A0[n:, n:] = -np.eye(p)
-    A_list = [A0] + [lift(Ai) for Ai in sys.A[1:]]
-    B = np.vstack([sys.B, np.eye(p)])
+    E, A_list = _append_slacks(sys, sys.p_in)
+    B = np.vstack([sys.B, np.eye(sys.p_in)])
     C = np.hstack([sys.C, D2])
     return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=sys.tau.copy())
 
@@ -196,46 +199,26 @@ def absorb_io_delay(sys: DdaeSystem, which: str, matrix, tau_new: float) -> Ddae
     n = sys.n
     if which == "input":
         M = _mat(matrix, "matrix", rows=n, cols=sys.p_in)
-        p = sys.p_in
-        E = np.zeros((n + p, n + p))
-        E[:n, :n] = sys.E
-        A0 = np.zeros((n + p, n + p))
-        A0[:n, :n] = sys.A[0]
-        A0[:n, n:] = sys.B
-        A0[n:, n:] = -np.eye(p)
-        def lift(Mi):
-            out = np.zeros((n + p, n + p))
-            out[:n, :n] = Mi
-            return out
-        Anew = np.zeros((n + p, n + p))
-        Anew[:n, n:] = M
-        delayed = list(zip(sys.tau.tolist(), (lift(Ai) for Ai in sys.A[1:])))
-        delayed.append((float(tau_new), Anew))
-        A_list, tau = _canonical_terms(A0, delayed)
-        B = np.vstack([np.zeros((n, p)), np.eye(p)])
-        C = np.hstack([sys.C, np.zeros((sys.p_out, p))])
-        return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
-    if which == "output":
+        k = sys.p_in
+    elif which == "output":
         M = _mat(matrix, "matrix", rows=sys.p_out, cols=n)
-        q = sys.p_out
-        E = np.zeros((n + q, n + q))
-        E[:n, :n] = sys.E
-        A0 = np.zeros((n + q, n + q))
-        A0[:n, :n] = sys.A[0]
-        A0[n:, n:] = -np.eye(q)
-        def lift(Mi):
-            out = np.zeros((n + q, n + q))
-            out[:n, :n] = Mi
-            return out
-        Anew = np.zeros((n + q, n + q))
+        k = sys.p_out
+    else:
+        raise ValueError("which must be 'input' or 'output'")
+    E, A = _append_slacks(sys, k)
+    Anew = np.zeros_like(E)
+    if which == "input":
+        A[0][:n, n:] = sys.B
+        Anew[:n, n:] = M
+        B = np.vstack([np.zeros((n, k)), np.eye(k)])
+        C = np.hstack([sys.C, np.zeros((sys.p_out, k))])
+    else:
         Anew[n:, :n] = M
-        delayed = list(zip(sys.tau.tolist(), (lift(Ai) for Ai in sys.A[1:])))
-        delayed.append((float(tau_new), Anew))
-        A_list, tau = _canonical_terms(A0, delayed)
-        B = np.vstack([sys.B, np.zeros((q, sys.p_in))])
-        C = np.hstack([sys.C, np.eye(q)])
-        return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
-    raise ValueError("which must be 'input' or 'output'")
+        B = np.vstack([sys.B, np.zeros((k, sys.p_in))])
+        C = np.hstack([sys.C, np.eye(k)])
+    delayed = list(zip(sys.tau.tolist(), A[1:])) + [(float(tau_new), Anew)]
+    A_list, tau = _canonical_terms(A[0], delayed)
+    return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
 
 
 def from_neutral(D, tau1: float, A0, A1, tau2: float, B, C) -> DdaeSystem:

@@ -32,19 +32,20 @@ import numpy as np
 from .errors import (
     AssumptionError,
     ConvergenceError,
-    EvaluationError,
     InstabilityError,
     UnboundedNormError,
 )
 from .response import (
-    eval_T,
-    eval_Ta_torus,
     sigma_T_samples,
     sigma_Ta_samples,
+    sigma_Ta_torus_samples,
 )
 from .system_model import (
     BlockDecomposition,
     DdaeSystem,
+    _default_diff_grid,
+    _min_sigma,
+    _resolve_tau,
     _sigma_min,
     _spectral_norm,
     _torus_grid,
@@ -55,7 +56,6 @@ from .system_model import (
 
 __all__ = [
     "NormResult",
-    "LevelSetState",
     "strong_norm_Ta",
     "hinf_norm_T",
     "strong_hinf_norm_T",
@@ -69,9 +69,6 @@ BRANCH_ASYMPTOTIC = "asymptotic-Ta"
 
 # Relative level tolerance of the plain-norm search (also the tie window).
 DEFAULT_BISECT_TOL = 1e-4
-# The first level sits just below the asymptotic strong norm, so crossings
-# near the asymptotic plateau are found whenever the plain norm exceeds it.
-DEFAULT_LEVEL_MARGIN = 1e-3
 # Scan points per oscillation scale 2*pi/sum(tau) of the frequency response.
 DEFAULT_SCAN_DENSITY = 64
 DEFAULT_MAX_SCAN_POINTS = 2_000_000
@@ -131,29 +128,6 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass
-class LevelSetState:
-    """Mutable bookkeeping of the plain-norm level iteration.
-
-    ``level`` is the current evaluation-backed candidate norm and never
-    decreases; ``crossings`` are the frequencies where ``sigma_1`` crossed the
-    last tested level, all below ``omega_cap``.
-    """
-
-    level: float
-    crossings: tuple = ()
-    omega_cap: float = math.inf
-    iteration: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "crossings": list(self.crossings),
-            "omega_cap": self.omega_cap,
-            "iteration": self.iteration,
-        }
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -199,43 +173,10 @@ def _default_torus_points(m: int) -> int:
     )
 
 
-def _sigma1(M) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def _sigma1_torus(dec, theta):
-    try:
-        return _sigma1(eval_Ta_torus(dec, theta))
-    except EvaluationError:
-        return -math.inf
-
-
-def _torus_sigma_stack(dec, thetas):
-    """sigma_1 of the torus function on a stack of points, or raise if singular."""
-    nu = dec.nu
-    A22c = [Ai.astype(complex) for Ai in dec.A22]
-    out = np.empty(thetas.shape[0])
-    chunk = 131072
-    for lo in range(0, thetas.shape[0], chunk):
-        th = thetas[lo : lo + chunk]
-        M = np.broadcast_to(-A22c[0], (th.shape[0], nu, nu)).copy()
-        phases = np.exp(-1j * th)
-        for i in range(dec.m):
-            M -= phases[:, i, None, None] * A22c[i + 1]
-        s = np.linalg.svd(M, compute_uv=False)
-        bad = (s[:, 0] == 0.0) | (s[:, -1] <= 1e-14 * s[:, 0])
-        if bad.any():
-            j = int(np.argmax(bad)) + lo
-            raise UnboundedNormError(
-                f"torus matrix singular at theta={tuple(thetas[j].tolist())}; "
-                "the delay-difference part is not strongly stable"
-            )
-        X = np.linalg.solve(M, np.broadcast_to(dec.B2.astype(complex),
-                                               (th.shape[0],) + dec.B2.shape))
-        out[lo : lo + chunk] = np.linalg.svd(dec.C2 @ X, compute_uv=False)[:, 0]
-    return out
+def _sigma1(sample, system, point, *args) -> float:
+    """sigma_1 at one point from a sampler, or -inf where the pencil is singular."""
+    sig, ok = sample(system, np.array([point]), *args)
+    return float(sig[0, 0]) if ok[0] else -math.inf
 
 
 def strong_norm_Ta(
@@ -284,7 +225,7 @@ def strong_norm_Ta(
             stacklevel=2,
         )
     if m == 0:
-        value = _sigma1_torus(dec, np.zeros(0))
+        value = _sigma1(sigma_Ta_torus_samples, dec, np.zeros(0))
         return NormResult(
             value=value, attained_at=(), branch=BRANCH_ASYMPTOTIC,
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,
@@ -294,7 +235,14 @@ def strong_norm_Ta(
     if g < 2:
         raise ValueError("grid_per_dim must be at least 2")
     thetas = _torus_grid(m, g)
-    values = _torus_sigma_stack(dec, thetas)
+    sig, ok = sigma_Ta_torus_samples(dec, thetas)
+    if not ok.all():
+        j = int(np.argmax(~ok))
+        raise UnboundedNormError(
+            f"torus matrix singular at theta={tuple(thetas[j].tolist())}; "
+            "the delay-difference part is not strongly stable"
+        )
+    values = sig[:, 0]
     i_best = int(np.argmax(values))  # first occurrence = lexicographically smallest
     grid_max = float(values[i_best])
     theta = thetas[i_best].copy()
@@ -307,7 +255,7 @@ def strong_norm_Ta(
             def f(t, _i=i):
                 point = theta.copy()
                 point[_i] = t
-                return _sigma1_torus(dec, point)
+                return _sigma1(sigma_Ta_torus_samples, dec, point)
             x, fx = _golden_section_max(f, theta[i] - h, theta[i] + h, refine_tol)
             if fx > best:
                 moved = max(moved, abs(x - theta[i]))
@@ -340,20 +288,6 @@ def _block_norm_sums(dec: BlockDecomposition):
     return a11, a12, a21, a22
 
 
-def _torus_matrix_min_sigma(dec: BlockDecomposition, grid_per_dim: int = 64) -> float:
-    """min over the theta grid of sigma_min(-A22[0] - sum A22[i] e^{-j theta_i})."""
-    if dec.m == 0:
-        return _sigma_min(dec.A22[0])
-    g = grid_per_dim if dec.m <= 2 else (24 if dec.m == 3 else 8)
-    thetas = _torus_grid(dec.m, g)
-    phases = np.exp(-1j * thetas)
-    M = np.broadcast_to(-dec.A22[0].astype(complex), (thetas.shape[0], dec.nu, dec.nu)).copy()
-    for i in range(dec.m):
-        M -= phases[:, i, None, None] * dec.A22[i + 1]
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[:, -1].min())
-
-
 @dataclass(frozen=True)
 class _BoundParams:
     e: float          # sigma_min(E11)
@@ -379,7 +313,9 @@ def _bound_params(dec: BlockDecomposition, safety: float = 2.0) -> _BoundParams:
     b2 = _spectral_norm(dec.B2)
     if dec.nu == 0:
         return _BoundParams(e=e, a11=a11, K=c1 * b1, omega_valid=a11 / e if e else math.inf)
-    smin = _torus_matrix_min_sigma(dec)
+    # min over the torus grid of sigma_min(-A22[0] - sum A22[i] e^{-j theta_i})
+    smin = (_sigma_min(dec.A22[0]) if dec.m == 0 else
+            _min_sigma(dec.A22, thetas=_torus_grid(dec.m, _default_diff_grid(dec.m))))
     if smin <= 0.0:
         raise UnboundedNormError("torus matrix singular: no finite frequency bound")
     beta = safety / smin
@@ -443,13 +379,6 @@ def _commensurate_denominator(tau: np.ndarray, s_cap: int = COMMENSURATE_S_CAP,
     return int(svals[hits[0]]) if hits.size else None
 
 
-def _sigma1_Ta_scalar(dec, omega, tau):
-    sig, ok = sigma_Ta_samples(dec, np.array([omega]), tau)
-    if not ok[0]:
-        return -math.inf
-    return float(sig[0, 0])
-
-
 def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
                  max_points: int) -> dict:
     """Supremum of sigma_1(T_a(jw)) over all frequencies.
@@ -462,7 +391,7 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
     if dec.nu == 0:
         return {"value": 0.0, "omega": 0.0, "exact": True, "s": None, "period": None}
     if dec.m == 0:
-        val = _sigma1_Ta_scalar(dec, 0.0, tau)
+        val = _sigma1(sigma_Ta_samples, dec, 0.0, tau)
         return {"value": val, "omega": 0.0, "exact": True, "s": None, "period": None}
     if dec.m == 1:
         # A single phase makes T_a periodic regardless of rationality.
@@ -491,17 +420,10 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
     i = int(np.argmax(sig[:, 0]))
     h = omegas[1] - omegas[0] if omegas.size > 1 else step
     w, v = _golden_section_max(
-        lambda x: _sigma1_Ta_scalar(dec, x, tau),
+        lambda x: _sigma1(sigma_Ta_samples, dec, x, tau),
         max(omegas[i] - h, 0.0), omegas[i] + h, 1e-10,
     )
     return {"value": v, "omega": w, "exact": exact, "s": s, "period": period}
-
-
-def _sigma1_T_scalar(sys, omega, tau):
-    try:
-        return _sigma1(eval_T(sys, omega, tau))
-    except EvaluationError:
-        return -math.inf
 
 
 def _local_max_indices(values: np.ndarray) -> np.ndarray:
@@ -536,7 +458,6 @@ def hinf_norm_T(
     tau=None,
     *,
     bisect_tol: float = DEFAULT_BISECT_TOL,
-    level_margin: float = DEFAULT_LEVEL_MARGIN,
     scan_density: int = DEFAULT_SCAN_DENSITY,
     max_scan_points: int = DEFAULT_MAX_SCAN_POINTS,
     max_iter: int = _MAX_LEVEL_ITER,
@@ -572,9 +493,7 @@ def hinf_norm_T(
     """
     if dec is None:
         dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
-    tau = np.atleast_1d(np.asarray(sys.tau if tau is None else tau, dtype=float))
-    if tau.size != sys.m:
-        raise ValueError(f"expected {sys.m} delays, got {tau.size}")
+    tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     if dec.nu:
         ok, margin = check_assumption1(dec)
         if not ok:
@@ -614,14 +533,17 @@ def hinf_norm_T(
         omega_scan = step * max_scan_points
         truncated = True
 
+    def scan(grid):
+        sig, ok = sigma_T_samples(sys, grid, tau)
+        if not ok.all():
+            w_bad = float(grid[~ok][0])
+            raise InstabilityError(
+                f"characteristic root detected on the imaginary axis near omega={w_bad:.6g}"
+            )
+        return sig[:, 0]
+
     omegas = np.arange(0.0, omega_scan, step)
-    sig, ok = sigma_T_samples(sys, omegas, tau)
-    if not ok.all():
-        w_bad = float(omegas[~ok][0])
-        raise InstabilityError(
-            f"characteristic root detected on the imaginary axis near omega={w_bad:.6g}"
-        )
-    sigma1 = sig[:, 0]
+    sigma1 = scan(omegas)
     xi_grid = float(sigma1.max())
 
     # Rigorous tail cap: beyond Omega_r the response cannot rise above the
@@ -637,14 +559,8 @@ def hinf_norm_T(
             omega_cap = omega_rig
         elif (omega_rig - omega_scan) / step + omegas.size <= max_scan_points:
             ext = np.arange(omega_scan, omega_rig + step, step)
-            sig_ext, ok_ext = sigma_T_samples(sys, ext, tau)
-            if not ok_ext.all():
-                w_bad = float(ext[~ok_ext][0])
-                raise InstabilityError(
-                    f"characteristic root detected on the imaginary axis near omega={w_bad:.6g}"
-                )
             omegas = np.concatenate([omegas, ext])
-            sigma1 = np.concatenate([sigma1, sig_ext[:, 0]])
+            sigma1 = np.concatenate([sigma1, scan(ext)])
             xi_grid = float(sigma1.max())
             omega_scan = float(omegas[-1]) + step
             tail_certified = True
@@ -653,7 +569,7 @@ def hinf_norm_T(
     def refine_peak(w_center, h):
         lo = max(w_center - h, 0.0)
         return _golden_section_max(
-            lambda x: _sigma1_T_scalar(sys, x, tau), lo, w_center + h, 1e-10
+            lambda x: _sigma1(sigma_T_samples, sys, x, tau), lo, w_center + h, 1e-10
         )
 
     capture = max(0.02, 8.0 * bisect_tol)
@@ -668,13 +584,11 @@ def hinf_norm_T(
         catalog.append((w, v))
     xi = max(v for _, v in catalog)
 
-    state = LevelSetState(level=xi, omega_cap=omega_cap)
     levels = [xi]
-    seed = ta.value * (1.0 - level_margin)
+    crossings = []
     densify_left = _MAX_DENSIFY
     converged = False
     for iteration in range(1, max_iter + 1):
-        state.iteration = iteration
         level = xi * (1.0 + bisect_tol)
         above = sigma1 > level
         if not above.any():
@@ -684,7 +598,7 @@ def hinf_norm_T(
         flips = np.nonzero(above[:-1] != above[1:])[0]
         crossings = []
         for i in flips:
-            g = lambda x: _sigma1_T_scalar(sys, x, tau) - level
+            g = lambda x: _sigma1(sigma_T_samples, sys, x, tau) - level
             crossings.append(
                 _bisect_crossing(g, float(omegas[i]), float(omegas[i + 1]),
                                  float(sigma1[i]) - level, step * 1e-3)
@@ -693,11 +607,10 @@ def hinf_norm_T(
             crossings.insert(0, 0.0)
         if above[-1]:
             crossings.append(float(omegas[-1]))
-        state.crossings = tuple(crossings)
         new_xi = xi
         for lo_w, hi_w in zip(crossings[::2], crossings[1::2]):
             mid = 0.5 * (lo_w + hi_w)
-            v_mid = _sigma1_T_scalar(sys, mid, tau)
+            v_mid = _sigma1(sigma_T_samples, sys, mid, tau)
             w, v = refine_peak(mid, max(0.5 * (hi_w - lo_w), step))
             if v_mid > v:
                 w, v = mid, v_mid
@@ -705,7 +618,6 @@ def hinf_norm_T(
             new_xi = max(new_xi, v)
         if new_xi > xi * (1.0 + 1e-12):
             xi = new_xi
-            state.level = xi
             levels.append(xi)
             continue
         if densify_left > 0:
@@ -738,13 +650,13 @@ def hinf_norm_T(
             tail_gap = max(ta.value - certified, 0.0) + (g_at if math.isfinite(g_at) else 0.0)
 
     diagnostics = {
-        "iterations": state.iteration,
+        "iterations": iteration,
         "scan_points": int(omegas.size),
         "scan_step": step,
         "omega_scan": omega_scan,
         "omega_cap": omega_cap,
         "levels": levels,
-        "seed_level": seed,
+        "crossings": crossings,
         "gamma_a": gamma_a,
         "strong_ta": ta.value,
         "ta_tail_sup": tail["value"],
@@ -754,7 +666,6 @@ def hinf_norm_T(
         "tail_gap": tail_gap,
         "scan_truncated": truncated,
         "global_peak": xi,
-        "level_state": state.to_dict(),
     }
     return NormResult(
         value=v_sel,

@@ -5,6 +5,16 @@ Evaluates the transfer function ``T``, the asymptotic transfer function
 approaches at high frequency) and its torus form, and produces sampled
 maximum-singular-value curves for plotting and oracle checks.
 
+Every evaluation goes through one pencil kernel.  ``_pencil_map`` (in
+:mod:`ddaenorm.system_model`, which also uses it for the stability checks)
+assembles stacks of ``lam*E - A_0 - sum_i A_i e^{-j theta_i}``: ``lam = j w`` and
+``theta = w tau`` for ``T``; no ``E`` term for the torus matrix of the
+algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
+``_transfer`` is the one reciprocal-condition test (against ``RCOND_MIN``)
+and solve; samplers flag singular samples, the ``eval_*`` functions raise.
+Grids are evaluated in chunks whose pencil stack fits ``_STACK_BYTES``, so
+memory stays bounded for any grid length and system size.
+
 All evaluations solve linear systems with partial pivoting; matrices are
 never inverted explicitly.  Since ``T(-j w)`` is the complex conjugate of
 ``T(j w)``, singular value curves are even in ``w`` and sweeps cover
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
-from .system_model import BlockDecomposition, DdaeSystem, decompose
+from .system_model import BlockDecomposition, DdaeSystem, _pencil_map, _resolve_tau, decompose
 
 __all__ = [
     "FrequencyGrid",
@@ -38,8 +48,6 @@ __all__ = [
 # Reciprocal-condition threshold separating near-characteristic-root samples
 # from ordinary roundoff.
 RCOND_MIN = 1e-14
-
-_CHUNK = 131072
 
 
 @dataclass(frozen=True)
@@ -69,31 +77,61 @@ class FrequencyGrid:
         return np.geomspace(self.omega_min, self.omega_max, self.count)
 
 
-def _resolve_tau(tau, m: int) -> np.ndarray:
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if tau.size != m:
-        raise DimensionError(f"expected {m} delays, got {tau.size}")
-    return tau
+def _transfer(M, B, C):
+    """``C M^{-1} B`` at the samples of ``M`` whose matrix passes the rcond test.
 
-
-def _char_matrix(sys: DdaeSystem, omega: float, tau: np.ndarray) -> np.ndarray:
-    lam = 1j * float(omega)
-    M = lam * sys.E - sys.A[0].astype(complex)
-    for i in range(sys.m):
-        M -= np.exp(-lam * tau[i]) * sys.A[i + 1]
-    return M
-
-
-def _solve_checked(M, B, C, point, what):
+    A sample passes when ``sigma_min(M) > RCOND_MIN * sigma_max(M)``.  Returns
+    ``(T, ok, s)``: ``T`` stacks the passing samples only, ``ok`` flags them
+    and ``s`` holds the singular values of ``M`` for error messages.
+    """
+    if M.shape[-1] == 0:  # no states: the transfer is zero
+        N = M.shape[0]
+        return np.zeros((N, C.shape[0], B.shape[1]), dtype=complex), np.ones(N, dtype=bool), None
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return np.zeros((C.shape[0], B.shape[1]), dtype=complex)
-    if s[0] == 0.0 or s[-1] <= RCOND_MIN * s[0]:
+    ok = s[:, -1] > RCOND_MIN * s[:, 0]  # also False when sigma_max is 0
+    if np.count_nonzero(ok) < ok.size:  # copy only when a sample is singular
+        M = M[ok]
+    return C @ np.linalg.solve(M, B[None]), ok, s
+
+
+def _sigma_chunk(M, B, C):
+    """Descending singular values of ``C M^{-1} B`` per sample, NaN where singular."""
+    T, ok, _ = _transfer(M, B, C)
+    N, p, q = T.shape
+    if min(p, q) <= 1:  # a row or column: its one singular value is the 2-norm
+        sig = np.abs(T).reshape(N, p * q)
+        if p * q != 1:  # an empty row reduces to 0
+            sig = np.hypot.reduce(sig, axis=1, keepdims=True)
+    else:
+        sig = np.linalg.svd(T, compute_uv=False)
+    if N < len(ok):  # scatter the passing samples, NaN elsewhere
+        full = np.full((ok.size, sig.shape[1]), np.nan)
+        full[ok] = sig
+        sig = full
+    return sig, ok
+
+
+def _sample(A, B, C, **samples):
+    """Singular values of ``C M^{-1} B`` over a pencil stack (see :func:`_pencil_map`).
+
+    Returns ``(sigmas, ok)``: one descending row per sample, NaN where the
+    matrix failed the rcond test and ``ok`` is False.
+    """
+    parts = _pencil_map(lambda M: _sigma_chunk(M, B, C), A, **samples)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _evaluate(A, B, C, point, what, **samples) -> np.ndarray:
+    """Transfer matrix at one sample; raises EvaluationError where singular."""
+    [(T, ok, s)] = _pencil_map(lambda M: _transfer(M, B, C), A, **samples)
+    if not ok[0]:
         raise EvaluationError(
-            f"{what} is singular at {point} (rcond ~ {s[-1] / max(s[0], 1e-300):.1e})",
+            f"{what} is singular at {point} (rcond ~ {s[0, -1] / max(s[0, 0], 1e-300):.1e})",
             point=point,
         )
-    return C @ np.linalg.solve(M, B.astype(complex))
+    return T[0]
 
 
 def eval_T(sys: DdaeSystem, omega: float, tau=None) -> np.ndarray:
@@ -113,15 +151,8 @@ def eval_T(sys: DdaeSystem, omega: float, tau=None) -> np.ndarray:
         If ``j*omega`` is (numerically) a characteristic root.
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
-    M = _char_matrix(sys, omega, tau)
-    return _solve_checked(M, sys.B, sys.C, float(omega), "characteristic matrix")
-
-
-def _A22_at(dec: BlockDecomposition, phases: np.ndarray) -> np.ndarray:
-    M = dec.A22[0].astype(complex).copy()
-    for i in range(dec.m):
-        M += phases[i] * dec.A22[i + 1]
-    return M
+    return _evaluate(sys.A, sys.B, sys.C, float(omega), "characteristic matrix",
+                     E=sys.E, omegas=np.array([omega], dtype=float), tau=tau)
 
 
 def eval_Ta(dec: BlockDecomposition, omega: float, tau) -> np.ndarray:
@@ -131,9 +162,8 @@ def eval_Ta(dec: BlockDecomposition, omega: float, tau) -> np.ndarray:
     :func:`eval_Ta_torus` at ``theta = (w tau_1 mod 2 pi, ...)``.
     """
     tau = _resolve_tau(tau, dec.m)
-    phases = np.exp(-1j * float(omega) * tau)
-    M = _A22_at(dec, phases)
-    return -_solve_checked(M, dec.B2, dec.C2, float(omega), "A22(j*omega)")
+    return _evaluate(dec.A22, dec.B2, dec.C2, float(omega), "A22(j*omega)",
+                     omegas=np.array([omega], dtype=float), tau=tau)
 
 
 def eval_Ta_torus(dec: BlockDecomposition, theta) -> np.ndarray:
@@ -145,25 +175,8 @@ def eval_Ta_torus(dec: BlockDecomposition, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size != dec.m:
         raise DimensionError(f"expected theta of length {dec.m}, got {theta.size}")
-    M = -_A22_at(dec, np.exp(-1j * theta))
-    return _solve_checked(M, dec.B2, dec.C2, tuple(theta.tolist()), "torus matrix")
-
-
-def _sigma_of_stacks(Ms: np.ndarray, B: np.ndarray, C: np.ndarray, sign: float):
-    """Per-sample singular values of ``sign * C M^{-1} B`` with an ok mask."""
-    N = Ms.shape[0]
-    k = min(C.shape[0], B.shape[1])
-    sigmas = np.full((N, max(k, 1)), np.nan)
-    if k == 0 or Ms.shape[1] == 0:
-        sigmas[:] = 0.0
-        return sigmas[:, : max(k, 1)], np.ones(N, dtype=bool)
-    s = np.linalg.svd(Ms, compute_uv=False)
-    ok = (s[:, 0] > 0.0) & (s[:, -1] > RCOND_MIN * s[:, 0])
-    if ok.any():
-        X = np.linalg.solve(Ms[ok], np.broadcast_to(B.astype(complex), (int(ok.sum()),) + B.shape))
-        Tvals = sign * (C @ X)
-        sigmas[ok] = np.linalg.svd(Tvals, compute_uv=False)
-    return sigmas, ok
+    return _evaluate(dec.A22, dec.B2, dec.C2, tuple(theta.tolist()), "torus matrix",
+                     thetas=theta[None])
 
 
 def sigma_T_samples(sys: DdaeSystem, omegas, tau=None):
@@ -175,46 +188,16 @@ def sigma_T_samples(sys: DdaeSystem, omegas, tau=None):
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.asarray(omegas, dtype=float)
-    k = max(min(sys.p_out, sys.p_in), 1)
-    sigmas = np.empty((omegas.size, k))
-    ok = np.empty(omegas.size, dtype=bool)
-    E = sys.E.astype(complex)
-    A0 = sys.A[0].astype(complex)
-    for lo in range(0, omegas.size, _CHUNK):
-        w = omegas[lo : lo + _CHUNK]
-        M = 1j * w[:, None, None] * E - A0
-        if sys.m:
-            phases = np.exp(-1j * np.outer(w, tau))
-            for i in range(sys.m):
-                M -= phases[:, i, None, None] * sys.A[i + 1]
-        sig, good = _sigma_of_stacks(M, sys.B, sys.C, 1.0)
-        sigmas[lo : lo + _CHUNK] = sig
-        ok[lo : lo + _CHUNK] = good
-    return sigmas, ok
+    return _sample(sys.A, sys.B, sys.C, E=sys.E, omegas=omegas, tau=tau)
 
 
 def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau):
-    """Singular values of ``T_a(j w)`` on a frequency grid (NaN where singular)."""
+    """Singular values of ``T_a(j w)`` on a frequency grid (NaN where singular).
+
+    This is the torus function at ``theta = w * tau``.
+    """
     tau = _resolve_tau(tau, dec.m)
-    omegas = np.asarray(omegas, dtype=float)
-    k = max(min(dec.C2.shape[0], dec.B2.shape[1]), 1)
-    sigmas = np.empty((omegas.size, k))
-    ok = np.empty(omegas.size, dtype=bool)
-    if dec.nu == 0:
-        sigmas[:] = 0.0
-        return sigmas, np.ones(omegas.size, dtype=bool)
-    A22c = [Ai.astype(complex) for Ai in dec.A22]
-    for lo in range(0, omegas.size, _CHUNK):
-        w = omegas[lo : lo + _CHUNK]
-        M = np.broadcast_to(A22c[0], (w.size,) + A22c[0].shape).copy()
-        if dec.m:
-            phases = np.exp(-1j * np.outer(w, tau))
-            for i in range(dec.m):
-                M += phases[:, i, None, None] * A22c[i + 1]
-        sig, good = _sigma_of_stacks(M, dec.B2, dec.C2, -1.0)
-        sigmas[lo : lo + _CHUNK] = sig
-        ok[lo : lo + _CHUNK] = good
-    return sigmas, ok
+    return _sample(dec.A22, dec.B2, dec.C2, omegas=np.asarray(omegas, dtype=float), tau=tau)
 
 
 def sigma_Ta_torus_samples(dec: BlockDecomposition, thetas):
@@ -222,23 +205,7 @@ def sigma_Ta_torus_samples(dec: BlockDecomposition, thetas):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas.reshape(-1, max(dec.m, 1))
-    k = max(min(dec.C2.shape[0], dec.B2.shape[1]), 1)
-    sigmas = np.empty((thetas.shape[0], k))
-    ok = np.empty(thetas.shape[0], dtype=bool)
-    if dec.nu == 0:
-        sigmas[:] = 0.0
-        return sigmas, np.ones(thetas.shape[0], dtype=bool)
-    A22c = [Ai.astype(complex) for Ai in dec.A22]
-    for lo in range(0, thetas.shape[0], _CHUNK):
-        th = thetas[lo : lo + _CHUNK]
-        M = np.broadcast_to(-A22c[0], (th.shape[0],) + A22c[0].shape).copy()
-        phases = np.exp(-1j * th)
-        for i in range(dec.m):
-            M -= phases[:, i, None, None] * A22c[i + 1]
-        sig, good = _sigma_of_stacks(M, dec.B2, dec.C2, 1.0)
-        sigmas[lo : lo + _CHUNK] = sig
-        ok[lo : lo + _CHUNK] = good
-    return sigmas, ok
+    return _sample(dec.A22, dec.B2, dec.C2, thetas=thetas)
 
 
 def system_hash(sys: DdaeSystem) -> str:

@@ -37,6 +37,9 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 # Absolute floor on sigma_min(A22[0]) for Assumption 1.
 DEFAULT_ASSUMPTION_TOL = 1e-10
+# Byte budget of one complex pencil stack (131,072 samples of a 2x2 pencil); on
+# 2x2 to 40x40 pencils larger budgets ran no faster and took 2-3x the memory.
+_STACK_BYTES = 8 << 20
 
 
 def _as_matrix(M, name):
@@ -273,6 +276,53 @@ def _default_diff_grid(m: int) -> int:
     return 8
 
 
+def _resolve_tau(tau, m: int) -> np.ndarray:
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    if tau.size != m:
+        raise DimensionError(f"expected {m} delays, got {tau.size}")
+    return tau
+
+
+def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None) -> list:
+    """Apply ``fn`` to pencil stacks over consecutive chunks of the samples.
+
+    Sample ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
+    ``theta_k = omegas[k] * tau`` on the frequency axis, else ``thetas[k]`` on
+    the torus; ``lam_k = 1j*omegas[k]``, and without ``E`` the term is dropped
+    (the torus matrix of the algebraic block).  Each chunk's stack holds at
+    most ``_STACK_BYTES`` (and at least one sample), so memory stays bounded
+    however long the grid.  Returns the ``fn`` results in sample order.
+    """
+    n = A[0].shape[0]
+    count = len(thetas) if omegas is None else len(omegas)
+    if count == 1:  # the one-point searches: scalar phases beat a one-deep stack
+        M = (0j if E is None else 1j * omegas[0] * E) - A[0].astype(complex)
+        for i, t in enumerate(thetas[0] if omegas is None else omegas[0] * tau, 1):
+            M -= np.exp(-1j * t) * A[i]
+        return [fn(M[None])]
+    step = max(_STACK_BYTES // (16 * max(n * n, 1)), 1)
+    out = []
+    for lo in range(0, max(count, 1), step):
+        sl = slice(lo, lo + step)
+        theta = thetas[sl] if omegas is None else omegas[sl, None] * tau
+        phases = np.exp(-1j * theta)[:, :, None, None]
+        if E is None:
+            M = np.zeros((len(theta), n, n), dtype=complex)
+        else:
+            M = 1j * omegas[sl, None, None] * E
+        M -= A[0]
+        for i in range(1, len(A)):
+            M -= phases[:, i - 1] * A[i]
+        out.append(fn(M))
+    return out
+
+
+def _min_sigma(A, **samples) -> float:
+    """Smallest singular value of the pencil over all samples (see :func:`_pencil_map`)."""
+    return min(_pencil_map(lambda M: float(np.linalg.svd(M, compute_uv=False)[:, -1].min()),
+                           A, **samples))
+
+
 def check_difference_stability(
     dec: BlockDecomposition,
     tau=None,
@@ -302,15 +352,11 @@ def check_difference_stability(
     g = grid_per_dim if grid_per_dim is not None else _default_diff_grid(dec.m)
     if g < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    thetas = _torus_grid(dec.m, g)
-    phases = np.exp(-1j * thetas)  # (N, m)
-    nu = dec.nu
-    M = np.zeros((thetas.shape[0], nu, nu), dtype=complex)
-    for i in range(dec.m):
-        M += phases[:, i, None, None] * dec.A22[i + 1]
-    G = np.linalg.solve(dec.A22[0].astype(complex), M)
-    eig = np.linalg.eigvals(G)
-    return float(np.abs(eig).max())
+    # The pencil with a zero A22[0] is -sum_{i>=1} A22[i] e^{-j theta_i}.
+    A0 = dec.A22[0].astype(complex)
+    radii = _pencil_map(lambda M: np.abs(np.linalg.eigvals(np.linalg.solve(-A0, M))).max(),
+                        (np.zeros_like(A0),) + dec.A22[1:], thetas=_torus_grid(dec.m, g))
+    return float(max(radii))
 
 
 def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, tau=None) -> float:
@@ -320,15 +366,9 @@ def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, 
     A small value flags a characteristic root close to the scanned part of the
     imaginary axis; a comfortable margin proves nothing by itself.
     """
-    tau = np.asarray(sys.tau if tau is None else tau, dtype=float)
+    tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.linspace(0.0, float(omega_max), count)
-    M = 1j * omegas[:, None, None] * sys.E - sys.A[0]
-    if sys.m:
-        phases = np.exp(-1j * np.outer(omegas, tau))
-        for i in range(sys.m):
-            M -= phases[:, i, None, None] * sys.A[i + 1]
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[:, -1].min())
+    return _min_sigma(sys.A, E=sys.E, omegas=omegas, tau=tau)
 
 
 @dataclass

@@ -209,6 +209,33 @@ class TestAbsorbIoDelay:
         np.testing.assert_array_equal(out.B[n:], np.eye(p))
         np.testing.assert_array_equal(out.C, np.hstack([C, np.zeros((1, p))]))
 
+    def test_displayed_structure_output(self):
+        rng = np.random.default_rng(5)
+        n, p, q = 2, 3, 2
+        A = rng.standard_normal((n, n))
+        A1 = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, p))
+        C = rng.standard_normal((q, n))
+        F = rng.standard_normal((q, n))
+        sys = DdaeSystem(E=np.eye(n), A=(A, A1), B=B, C=C, tau=[0.5])
+        out = absorb_io_delay(sys, "output", F, 0.8)
+        N = n + q
+        E = np.zeros((N, N))
+        E[:n, :n] = np.eye(n)
+        A0 = np.zeros((N, N))
+        A0[:n, :n] = A
+        A0[n:, n:] = -np.eye(q)
+        Ad1 = np.zeros((N, N))
+        Ad1[:n, :n] = A1
+        Ad2 = np.zeros((N, N))
+        Ad2[n:, :n] = F
+        np.testing.assert_array_equal(out.tau, [0.5, 0.8])
+        np.testing.assert_array_equal(out.E, E)
+        for got, want in zip(out.A, (A0, Ad1, Ad2), strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(out.B, np.vstack([B, np.zeros((q, p))]))
+        np.testing.assert_array_equal(out.C, np.hstack([C, np.eye(q)]))
+
     def test_output_delay(self):
         # z = x(t) + 2 x(t - 1.5) for x' = -x + w
         sys = DdaeSystem(E=np.eye(1), A=([[-1.0]],), B=[[1.0]], C=[[1.0]], tau=[])

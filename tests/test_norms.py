@@ -116,6 +116,13 @@ class TestHinfNorm:
         assert all(a <= b + 1e-15 for a, b in zip(levels, levels[1:]))
         assert res.diagnostics["iterations"] <= 40
 
+    def test_diagnostics_keys(self, sys_a):
+        diag = hinf_norm_T(sys_a, tau=[0.99, 2.0]).diagnostics
+        for key in ("iterations", "levels", "crossings", "omega_cap", "global_peak"):
+            assert key in diag
+        assert all(0.0 <= w <= diag["omega_scan"] for w in diag["crossings"])
+        assert "level_state" not in diag and "seed_level" not in diag
+
     def test_ode_reduction(self):
         # nu = 0 single pole: ||1/(1+jw)||_inf = 1 at w = 0
         sys = DdaeSystem(E=np.eye(1), A=([[-1.0]],), B=[[1.0]], C=[[1.0]], tau=[])

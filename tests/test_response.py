@@ -210,3 +210,140 @@ class TestSweep:
         w, s = lines[1].split(",")
         assert float(w) == curve.params[0]
         assert float(s) == curve.sigmas[0, 0]
+
+
+def random_system(rng, n=5, p_in=2, p_out=2, m=2):
+    """Random descriptor system with a two-dimensional algebraic part."""
+    E = np.diag([1.0] * (n - 2) + [0.0, 0.0])
+    A = [rng.standard_normal((n, n)) - 4.0 * np.eye(n)]
+    A += [0.2 * rng.standard_normal((n, n)) for _ in range(m)]
+    return DdaeSystem(E=E, A=tuple(A), B=rng.standard_normal((n, p_in)),
+                      C=rng.standard_normal((p_out, n)), tau=np.arange(1.0, m + 1.0))
+
+
+def oscillator():
+    # Undamped oscillator: characteristic matrix singular at omega = 1.
+    return DdaeSystem(E=np.eye(2), A=([[0.0, 1.0], [-1.0, 0.0]],),
+                      B=[[0.0], [1.0]], C=[[1.0, 0.0]], tau=[])
+
+
+class TestPencilKernel:
+    """The one pencil kernel behind every evaluation in ``response``."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2)])
+    def test_one_point_matches_batched(self, shape, m):
+        from ddaenorm.response import (sigma_T_samples, sigma_Ta_samples,
+                                       sigma_Ta_torus_samples)
+        rng = np.random.default_rng(21)
+        sys = random_system(rng, p_in=shape[0], p_out=shape[1], m=m)
+        dec = decompose(sys)
+        omegas = np.linspace(0.0, 30.0, 41)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (41, sys.m))
+        cases = [
+            (lambda x: sigma_T_samples(sys, x), omegas),
+            (lambda x: sigma_Ta_samples(dec, x, sys.tau), omegas),
+            (lambda x: sigma_Ta_torus_samples(dec, x), thetas),
+        ]
+        for sample, points in cases:
+            batched, ok = sample(points)
+            assert ok.all()
+            for row, point in zip(batched, points):
+                one, ok1 = sample(np.asarray(point)[None])
+                assert ok1[0]
+                np.testing.assert_allclose(one[0], row, rtol=1e-14, atol=0.0)
+
+    def test_one_point_matches_scalar_evaluators(self):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
+        rng = np.random.default_rng(22)
+        sys = random_system(rng)
+        dec = decompose(sys)
+        for w in (0.0, 0.7, 13.0):
+            sig, _ = sigma_T_samples(sys, [w])
+            direct = np.linalg.svd(eval_T(sys, w), compute_uv=False)
+            np.testing.assert_allclose(sig[0], direct, rtol=1e-14)
+            sig, _ = sigma_Ta_samples(dec, [w], sys.tau)
+            direct = np.linalg.svd(eval_Ta(dec, w, sys.tau), compute_uv=False)
+            np.testing.assert_allclose(sig[0], direct, rtol=1e-14)
+
+    def test_mixed_singular_stack(self):
+        from ddaenorm.response import sigma_T_samples
+        sig, ok = sigma_T_samples(oscillator(), [0.0, 0.5, 1.0, 1.5, 1.0])
+        np.testing.assert_array_equal(ok, [True, True, False, True, False])
+        assert np.isnan(sig[~ok]).all()
+        assert np.isfinite(sig[ok]).all()
+
+    def test_mixed_singular_torus_stack(self):
+        from ddaenorm.response import _sample
+        # -A0 - A1 e^{-j theta} = 1 - e^{-j theta} vanishes at theta = 0 only.
+        A = (-np.eye(1), np.eye(1))
+        thetas = np.array([[0.0], [1.0], [0.0], [3.0]])
+        sig, ok = _sample(A, np.ones((1, 1)), np.ones((1, 1)), thetas=thetas)
+        np.testing.assert_array_equal(ok, [False, True, False, True])
+        assert np.isnan(sig[~ok]).all()
+        np.testing.assert_allclose(sig[ok, 0], 1.0 / np.abs(1.0 - np.exp(-1j * thetas[ok, 0])),
+                                   rtol=1e-14)
+
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
+        from ddaenorm import (check_difference_stability, imaginary_axis_margin, response,
+                              system_model)
+        rng = np.random.default_rng(23)
+        sys = random_system(rng, n=4)
+        dec = decompose(sys)
+        omegas = np.linspace(0.0, 20.0, 23)
+
+        def evaluate():
+            return [
+                *response.sigma_T_samples(sys, omegas),
+                *response.sigma_T_samples(oscillator(), np.linspace(0.0, 2.0, 9)),
+                *response.sigma_Ta_samples(dec, omegas, sys.tau),
+                *response.sigma_Ta_torus_samples(dec, np.outer(omegas, sys.tau)),
+                imaginary_axis_margin(sys, 20.0, count=23),
+                check_difference_stability(dec),
+            ]
+
+        whole = evaluate()
+        assert not whole[3].all()  # the oscillator grid hits its root
+        # three samples of a 2x2 pencil per chunk, one of a 4x4 pencil
+        monkeypatch.setattr(system_model, "_STACK_BYTES", 3 * 16 * 4)
+        for a, b in zip(whole, evaluate(), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_square_input_matrix(self):
+        # p_in == n with stacks of one and of n samples: B is a matrix
+        # right-hand side for every sample, never a stack of vectors.
+        from ddaenorm.response import sigma_T_samples
+        rng = np.random.default_rng(25)
+        sys = random_system(rng, n=3, p_in=3, p_out=2)
+        omegas = np.array([0.0, 0.7, 13.0])
+        for points in (omegas, omegas[1:2]):
+            sig, ok = sigma_T_samples(sys, points)
+            assert ok.all()
+            for row, w in zip(sig, points):
+                M = 1j * w * sys.E - sys.A[0] - sum(
+                    Ai * np.exp(-1j * w * t) for Ai, t in zip(sys.A[1:], sys.tau))
+                T = sys.C @ np.linalg.inv(M) @ sys.B
+                np.testing.assert_allclose(row, np.linalg.svd(T, compute_uv=False),
+                                           rtol=1e-12)
+
+    @pytest.mark.parametrize("p_in, p_out", [(0, 2), (2, 0)])
+    def test_no_inputs_or_outputs(self, p_in, p_out):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
+        rng = np.random.default_rng(26)
+        sys = random_system(rng, p_in=p_in, p_out=p_out)
+        dec = decompose(sys)
+        for points in (np.linspace(0.0, 5.0, 7), np.array([0.5])):
+            for sig, ok in (sigma_T_samples(sys, points), sigma_Ta_samples(dec, points, sys.tau)):
+                assert ok.all()
+                np.testing.assert_array_equal(sig, np.zeros((points.size, 1)))
+
+    @pytest.mark.parametrize("p_in, p_out", [(1, 1), (1, 3), (3, 1)])
+    def test_vector_norm_path_matches_svd(self, p_in, p_out):
+        from ddaenorm.response import sigma_T_samples
+        rng = np.random.default_rng(24)
+        sys = random_system(rng, p_in=p_in, p_out=p_out)
+        omegas = np.linspace(0.0, 10.0, 51)
+        sig, ok = sigma_T_samples(sys, omegas)
+        assert ok.all() and sig.shape == (omegas.size, 1)
+        want = np.array([np.linalg.svd(eval_T(sys, w), compute_uv=False) for w in omegas])
+        np.testing.assert_allclose(sig, want, rtol=1e-14)

@@ -8,6 +8,7 @@ from ddaenorm import (
     check_assumption1,
     check_difference_stability,
     decompose,
+    imaginary_axis_margin,
     nullspace_bases,
     validate_system,
 )
@@ -178,6 +179,28 @@ class TestValidateSystem:
     def test_axis_scan(self, sys_a):
         report = validate_system(sys_a, axis_scan_omega_max=20.0)
         assert report.axis_margin is not None and report.axis_margin > 1e-3
+
+
+class TestImaginaryAxisMargin:
+    def test_too_few_delays_rejected(self, sys_a):
+        with pytest.raises(DimensionError):
+            imaginary_axis_margin(sys_a, 20.0, tau=[1.0])
+
+    def test_too_many_delays_rejected(self, sys_a):
+        with pytest.raises(DimensionError):
+            imaginary_axis_margin(sys_a, 20.0, tau=[1.0, 2.0, 3.0])
+
+    def test_delay_override_matches_direct_scan(self, sys_a):
+        tau = np.array([0.99, 2.0])
+        omegas = np.linspace(0.0, 20.0, 201)
+        want = min(
+            np.linalg.svd(1j * w * sys_a.E - sys_a.A[0]
+                          - sum(Ai * np.exp(-1j * w * t) for Ai, t in zip(sys_a.A[1:], tau)),
+                          compute_uv=False)[-1]
+            for w in omegas
+        )
+        got = imaginary_axis_margin(sys_a, 20.0, count=201, tau=tau)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDdaeSystemValidation:
