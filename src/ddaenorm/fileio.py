@@ -3,8 +3,10 @@
 System files hold the standard-form matrices row-major with full-precision
 numbers (shortest round-trip decimals), so write -> read preserves every
 matrix bit-exactly and fixtures stay human-diffable.  Delays are
-canonicalized at load time: strictly increasing, duplicates merged by summing
-their coefficient blocks.
+canonicalized at load time as the interconnect builders do it: strictly
+increasing, delays within ``MERGE_TOL`` of each other merged by summing their
+coefficient blocks, a delay of at most ``MERGE_TOL`` folded into ``A_0``, and
+an all-zero delayed block dropped together with its delay.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from .errors import DimensionError
 from .interconnect import (
     PlantBlock,
     StaticDelayController,
+    _canonical_terms,
     absorb_io_delay,
     close_feedback,
     eliminate_feedthrough,
     from_neutral,
-    MERGE_TOL,
 )
 from .system_model import DdaeSystem
 
@@ -55,21 +57,6 @@ def _validate(doc, schema_name: str):
         raise SchemaError(f"{schema_name}: {exc.message} (at {path})") from exc
 
 
-def _canonical_delays(A_list, delays):
-    """Sort delays increasing and merge duplicates within MERGE_TOL."""
-    order = np.argsort(delays, kind="stable")
-    merged_tau: list = []
-    merged_A: list = []
-    for idx in order:
-        t = float(delays[idx])
-        if merged_tau and abs(t - merged_tau[-1]) <= MERGE_TOL:
-            merged_A[-1] = merged_A[-1] + A_list[idx]
-        else:
-            merged_tau.append(t)
-            merged_A.append(np.array(A_list[idx], dtype=float))
-    return merged_A, np.array(merged_tau)
-
-
 def system_from_dict(doc: dict) -> DdaeSystem:
     _validate(doc, "system.schema.json")
     n = doc["n"]
@@ -91,10 +78,10 @@ def system_from_dict(doc: dict) -> DdaeSystem:
         raise SchemaError(f"B has {B.shape[0]} rows, expected {n}")
     if C.shape[1] != n:
         raise SchemaError(f"C has {C.shape[1]} columns, expected {n}")
-    merged_A, tau = _canonical_delays(A_raw[1:], delays)
+    A_list, tau = _canonical_terms(A_raw[0], zip(delays, A_raw[1:]))
     return DdaeSystem(
         E=np.asarray(doc["E"], dtype=float),
-        A=tuple([A_raw[0]] + merged_A),
+        A=tuple(A_list),
         B=B,
         C=C,
         tau=tau,

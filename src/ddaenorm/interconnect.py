@@ -106,7 +106,7 @@ class StaticDelayController:
         object.__setattr__(self, "tau", float(self.tau))
 
 
-def _canonical_terms(A0, delayed, merge_tol=MERGE_TOL):
+def _canonical_terms(A0, delayed):
     """Sort delayed terms, merge near-equal delays, fold tau<=tol into A0,
     and drop all-zero coefficient blocks.  Returns (A_list, tau_array)."""
     A0 = np.array(A0, dtype=float)
@@ -114,9 +114,9 @@ def _canonical_terms(A0, delayed, merge_tol=MERGE_TOL):
                    key=lambda item: item[0])
     merged = []
     for t, M in items:
-        if t <= merge_tol:
+        if t <= MERGE_TOL:
             A0 = A0 + M
-        elif merged and abs(t - merged[-1][0]) <= merge_tol:
+        elif merged and abs(t - merged[-1][0]) <= MERGE_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] + M)
         else:
             merged.append((t, M.copy()))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AssumptionError,
     ConvergenceError,
     InstabilityError,
     UnboundedNormError,
@@ -43,13 +42,10 @@ from .response import (
 from .system_model import (
     BlockDecomposition,
     DdaeSystem,
-    _default_diff_grid,
-    _min_sigma,
     _resolve_tau,
     _sigma_min,
     _spectral_norm,
     _torus_grid,
-    check_assumption1,
     check_difference_stability,
     decompose,
 )
@@ -78,6 +74,8 @@ COMMENSURATE_REL_TOL = 1e-9
 
 _MAX_LEVEL_ITER = 40
 _MAX_DENSIFY = 3
+# Inflation of the torus resolvent estimate in the high-frequency envelope.
+_BOUND_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -212,12 +210,7 @@ def strong_norm_Ta(
             abs_tol=0.0, rel_tol=1e-12,
             diagnostics={"note": "nonsingular E: asymptotic transfer function is zero"},
         )
-    ok, margin = check_assumption1(dec)
-    if not ok:
-        raise AssumptionError(
-            f"A22[0] singular to tolerance (sigma_min={margin:.3e})"
-        )
-    gamma_a = check_difference_stability(dec) if m else 0.0
+    gamma_a = dec.gamma_a
     if gamma_a >= 1.0:
         warnings.warn(
             f"gamma_a={gamma_a:.4f} >= 1: strong norm of T_a may be unbounded",
@@ -294,31 +287,32 @@ class _BoundParams:
     a11: float
     K: float          # constant of the O(1/omega) envelope
     omega_valid: float  # validity threshold of the Schur expansion
+    scale: float      # summed block norms over e: the frequency scale of the scan
 
 
-def _bound_params(dec: BlockDecomposition, safety: float = 2.0) -> _BoundParams:
+def _bound_params(dec: BlockDecomposition) -> _BoundParams:
     """Constants of the high-frequency envelope sigma_1(T - T_a) <= K / (w*e - a11).
 
     Derived from the two-by-two block form of the transfer function: the
     differential-block resolvent decays like ``1/(w*e - a11)`` while the
-    algebraic block stays bounded by ``beta = safety / min_theta
+    algebraic block stays bounded by ``beta = _BOUND_SAFETY / min_theta
     sigma_min(-A22(theta))``; the Schur-complement correction terms are valid
-    once ``beta * a21 * a12 / (w*e - a11) <= 1/2``.
+    once ``beta * a21 * a12 / (w*e - a11) <= 1/2``.  Needs gamma_a < 1; beta is 0
+    without an algebraic part, and for nd = 0, where T = T_a needs no envelope.
     """
+    if (gamma_a := check_difference_stability(dec)) >= 1.0:
+        raise UnboundedNormError(f"gamma_a={gamma_a:.4f} >= 1: no finite frequency bound exists")
     e = _sigma_min(dec.E11)
-    a11, a12, a21, _ = _block_norm_sums(dec)
+    a11, a12, a21, a22 = _block_norm_sums(dec)
+    scale = (a11 + a12 + a21 + a22) / e if e > 0.0 else 0.0
     c1 = _spectral_norm(dec.C1)
     c2 = _spectral_norm(dec.C2)
     b1 = _spectral_norm(dec.B1)
     b2 = _spectral_norm(dec.B2)
-    if dec.nu == 0:
-        return _BoundParams(e=e, a11=a11, K=c1 * b1, omega_valid=a11 / e if e else math.inf)
-    # min over the torus grid of sigma_min(-A22[0] - sum A22[i] e^{-j theta_i})
-    smin = (_sigma_min(dec.A22[0]) if dec.m == 0 else
-            _min_sigma(dec.A22, thetas=_torus_grid(dec.m, _default_diff_grid(dec.m))))
+    smin = dec.torus_sigma_min if dec.nu and dec.nd else math.inf
     if smin <= 0.0:
         raise UnboundedNormError("torus matrix singular: no finite frequency bound")
-    beta = safety / smin
+    beta = _BOUND_SAFETY / smin
     coupling = a21 * a12
     omega_valid = (2.0 * beta * coupling + a11) / e if e else math.inf
     r_valid = 1.0 / (2.0 * beta * coupling) if coupling > 0.0 else 0.0
@@ -328,7 +322,7 @@ def _bound_params(dec: BlockDecomposition, safety: float = 2.0) -> _BoundParams:
         + 2.0 * beta * beta * c2 * coupling * b2
         + 2.0 * beta * c1 * coupling * b1 * r_valid
     )
-    return _BoundParams(e=e, a11=a11, K=K, omega_valid=omega_valid)
+    return _BoundParams(e=e, a11=a11, K=K, omega_valid=omega_valid, scale=scale)
 
 
 def _bound_value_at(params: _BoundParams, omega: float) -> float:
@@ -337,12 +331,20 @@ def _bound_value_at(params: _BoundParams, omega: float) -> float:
     return params.K / (omega * params.e - params.a11)
 
 
-def frequency_bound(dec: BlockDecomposition, tau, gamma: float, safety: float = 2.0) -> float:
+def _omega_cap(params: _BoundParams, gamma: float) -> float:
+    """The cap of :func:`frequency_bound` from bound parameters in hand."""
+    if params.e == 0.0:
+        return 0.0  # no differential part: T coincides with T_a
+    return max(params.omega_valid, (params.K / gamma + params.a11) / params.e)
+
+
+def frequency_bound(dec: BlockDecomposition, tau, gamma: float) -> float:
     """Frequency cap Omega with ``sigma_1(T(jw) - T_a(jw)) < gamma`` for w > Omega.
 
     The bound decays like ``O(1/w)``; the torus resolvent estimate is
-    inflated by ``safety`` (default 2).  Larger gamma gives a smaller cap,
-    down to the validity threshold of the underlying expansion.
+    inflated by a safety factor of 2.  Larger gamma gives a smaller cap,
+    down to the validity threshold of the underlying expansion.  ``tau`` is
+    not used: the cap depends on the coefficient matrices only.
 
     Raises
     ------
@@ -352,18 +354,7 @@ def frequency_bound(dec: BlockDecomposition, tau, gamma: float, safety: float = 
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if dec.nu and dec.m:
-        gamma_a = check_difference_stability(dec)
-        if gamma_a >= 1.0:
-            raise UnboundedNormError(
-                f"gamma_a={gamma_a:.4f} >= 1: frequency bound does not exist"
-            )
-    if dec.nd == 0:
-        return 0.0  # no differential part: T coincides with T_a
-    params = _bound_params(dec, safety)
-    if params.e <= 0.0:
-        raise UnboundedNormError("E11 is singular; no frequency bound")
-    return max(params.omega_valid, (params.K / gamma + params.a11) / params.e)
+    return _omega_cap(_bound_params(dec), gamma)
 
 
 def _commensurate_denominator(tau: np.ndarray, s_cap: int = COMMENSURATE_S_CAP,
@@ -494,27 +485,13 @@ def hinf_norm_T(
     if dec is None:
         dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
-    if dec.nu:
-        ok, margin = check_assumption1(dec)
-        if not ok:
-            raise AssumptionError(f"A22[0] singular (sigma_min={margin:.3e})")
-    gamma_a = check_difference_stability(dec) if (dec.nu and dec.m) else 0.0
-    if gamma_a >= 1.0:
-        raise UnboundedNormError(
-            f"gamma_a={gamma_a:.4f} >= 1: no finite frequency cap exists "
-            "(asymptotic branch dominates)"
-        )
+    gamma_a = dec.gamma_a
+    params = _bound_params(dec)
     ta = ta_result if ta_result is not None else strong_norm_Ta(dec)
 
-    params = _bound_params(dec)
     tau_sum = float(tau.sum())
     lobe = 2.0 * math.pi / tau_sum if tau_sum > 0.0 else None
-    if params.e > 0.0:
-        a11, a12, a21, a22 = _block_norm_sums(dec)
-        scale = (a11 + a12 + a21 + (a22 if dec.nu else 0.0)) / params.e
-    else:
-        scale = 0.0
-    omega_low = 10.0 * (1.0 + scale)
+    omega_low = 10.0 * (1.0 + params.scale)
     step = lobe / scan_density if lobe else omega_low / 10000.0
 
     tail = _tail_sup_Ta(dec, tau, step, max_scan_points // 2)
@@ -553,7 +530,7 @@ def hinf_norm_T(
     omega_cap = omega_scan
     gamma_cap = xi_grid * (1.0 + bisect_tol) - tail_ub
     if gamma_cap > 0.0:
-        omega_rig = frequency_bound(dec, tau, gamma_cap)
+        omega_rig = _omega_cap(params, gamma_cap)
         if omega_rig <= omega_scan:
             tail_certified = True
             omega_cap = omega_rig
@@ -624,10 +601,7 @@ def hinf_norm_T(
             densify_left -= 1
             step *= 0.5
             omegas = np.arange(0.0, omega_scan, step)
-            sig, ok2 = sigma_T_samples(sys, omegas, tau)
-            if not ok2.all():
-                raise InstabilityError("characteristic root detected while densifying")
-            sigma1 = sig[:, 0]
+            sigma1 = scan(omegas)
             continue
         raise ConvergenceError(
             "level iteration stalled with crossings remaining; "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,8 @@ class BlockDecomposition:
     ``A22[i] = U^T A_i V`` governs the delay difference part, and ``A12``/
     ``A21`` are the cross couplings.  ``E11 = Uperp^T E Vperp`` is invertible
     by construction.  The decomposition carries no delay values: everything
-    here depends on the coefficient matrices only.
+    here depends on the coefficient matrices only, so the grid quantities
+    :attr:`gamma_a` and :attr:`torus_sigma_min` are computed once, on first use.
     """
 
     U: np.ndarray
@@ -210,6 +212,20 @@ class BlockDecomposition:
     @property
     def m(self) -> int:
         return len(self.A22) - 1
+
+    @cached_property
+    def gamma_a(self) -> float:
+        """gamma_a on the default grid (:func:`check_difference_stability`);
+        raises :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0."""
+        return _difference_radius(self, _default_diff_grid(self.m))
+
+    @cached_property
+    def torus_sigma_min(self) -> float:
+        """``min_theta sigma_min(-A22[0] - sum_{i>=1} A22[i] e^{-j theta_i})`` on
+        the default grid of :attr:`gamma_a` (``sigma_min(A22[0])`` for m = 0)."""
+        if self.m == 0:
+            return _sigma_min(self.A22[0])
+        return _min_sigma(self.A22, thetas=_torus_grid(self.m, _default_diff_grid(self.m)))
 
 
 def decompose(sys: DdaeSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BlockDecomposition:
@@ -323,25 +339,27 @@ def _min_sigma(A, **samples) -> float:
                            A, **samples))
 
 
-def check_difference_stability(
-    dec: BlockDecomposition,
-    tau=None,
-    grid_per_dim: int | None = None,
-) -> float:
+def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None = None) -> float:
     """Spectral-radius margin gamma_a of the delay-difference part.
 
     gamma_a is the maximum over a uniform grid on ``[0, 2*pi)^m`` of the
     spectral radius of ``A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}``.  The
     difference part is strongly exponentially stable only if gamma_a < 1; the
-    quantity does not depend on the delay values.  ``tau`` is accepted for
-    interface symmetry and only cross-checked for length.
+    quantity does not depend on the delay values.  It is 0 without delays or
+    without an algebraic part.  On the default grid (``grid_per_dim=None``)
+    this is the value memoised in :attr:`BlockDecomposition.gamma_a`.
 
     The grid estimate is monotone nondecreasing under refinement by doubling
     (each coarse grid is contained in its doubled version).
     """
-    if tau is not None and len(np.atleast_1d(tau)) != dec.m:
-        raise DimensionError("tau length does not match the number of delays")
-    if dec.nu == 0 or dec.m == 0:
+    if dec.m == 0:
+        return 0.0
+    return dec.gamma_a if grid_per_dim is None else _difference_radius(dec, grid_per_dim)
+
+
+def _difference_radius(dec: BlockDecomposition, g: int) -> float:
+    """gamma_a on a ``g``-point-per-dimension grid, after Assumption 1."""
+    if dec.nu == 0:
         return 0.0
     ok, margin = check_assumption1(dec)
     if not ok:
@@ -349,7 +367,8 @@ def check_difference_stability(
             f"A22[0] is singular to tolerance (sigma_min={margin:.3e}); "
             "the difference part is ill-posed"
         )
-    g = grid_per_dim if grid_per_dim is not None else _default_diff_grid(dec.m)
+    if dec.m == 0:
+        return 0.0
     if g < 1:
         raise ValueError("grid_per_dim must be >= 1")
     # The pencil with a zero A22[0] is -sum_{i>=1} A22[i] e^{-j theta_i}.

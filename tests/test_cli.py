@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys as _pysys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddaenorm
 from ddaenorm import load_system, save_system
 from ddaenorm.cli import main
 from conftest import make_sys_a, make_sys_b
@@ -186,9 +189,13 @@ class TestBuild:
 
 class TestEntryPoint:
     def test_module_invocation(self, sys_a_file):
+        # the child imports the same ddaenorm as this process, installed or not
+        src = str(Path(ddaenorm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [_pysys.executable, "-m", "ddaenorm", "check", sys_a_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "gamma_a" in proc.stdout

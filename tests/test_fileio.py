@@ -88,6 +88,23 @@ class TestSystemFiles:
         assert sys.m == 1
         assert sys.A[1][1][1] == pytest.approx(0.25 - 0.5)
 
+    def test_all_zero_delayed_block_dropped(self):
+        doc = sys_a_doc()
+        doc["delays"] = [1.0, 2.0, 3.0]
+        doc["A"] = doc["A"] + [[[0.0, 0.0], [0.0, 0.0]]]
+        sys = system_from_dict(doc)
+        np.testing.assert_array_equal(sys.tau, [1.0, 2.0])
+        for a, b in zip(sys.A, make_sys_a().A, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_delay_within_merge_tol_folds_into_a0(self):
+        doc = sys_a_doc()
+        doc["delays"] = [1e-13, 2.0]
+        sys = system_from_dict(doc)
+        np.testing.assert_array_equal(sys.tau, [2.0])
+        np.testing.assert_array_equal(sys.A[0], np.add(doc["A"][0], doc["A"][1]))
+        np.testing.assert_array_equal(sys.A[1], doc["A"][2])
+
     def test_not_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,19 @@ from ddaenorm import (
     BRANCH_ASYMPTOTIC,
     BRANCH_PLAIN,
     DdaeSystem,
+    InstabilityError,
+    PerturbationStudy,
     UnboundedNormError,
     decompose,
     eval_T,
     frequency_bound,
     eval_Ta,
     hinf_norm_T,
+    norms,
+    run_perturbation_study,
     strong_hinf_norm_T,
     strong_norm_Ta,
+    system_model,
 )
 from ddaenorm.response import sigma_Ta_samples
 from conftest import brute_hinf_formula, formula_T, formula_T_b
@@ -145,6 +152,32 @@ class TestHinfNorm:
         with pytest.raises(UnboundedNormError):
             hinf_norm_T(sys)
 
+    def test_root_on_densified_grid_names_its_frequency(self, sys_a, monkeypatch):
+        # A spurious spike on the first scan stalls the level iteration, so the
+        # grid is densified; a singular sample there is reported by frequency.
+        real = norms.sigma_T_samples
+        first_step, flagged = [], []
+
+        def sampler(system, grid, *args):
+            sig, ok = real(system, grid, *args)
+            if grid.size > 1:
+                step = grid[1] - grid[0]
+                if not first_step:
+                    first_step.append(step)
+                    sig = sig.copy()
+                    sig[grid.size // 3] = 1.5 * sig.max()
+                elif step < 0.75 * first_step[0]:
+                    ok = ok.copy()
+                    ok[5] = False
+                    flagged.append(float(grid[5]))
+            return sig, ok
+
+        monkeypatch.setattr(norms, "sigma_T_samples", sampler)
+        with pytest.raises(InstabilityError) as err:
+            hinf_norm_T(sys_a)
+        assert len(flagged) == 1
+        assert f"omega={flagged[0]:.6g}" in str(err.value)
+
 
 class TestStrongHinfNorm:
     def test_sys_a_branch_asymptotic(self, sys_a):
@@ -231,6 +264,39 @@ class TestFrequencyBound:
     def test_rejects_nonpositive_gamma(self, sys_a):
         with pytest.raises(ValueError):
             frequency_bound(decompose(sys_a), sys_a.tau, 0.0)
+
+
+class TestEvaluationCounts:
+    """The delay-independent grid quantities are evaluated once per decomposition."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for module, name in ((system_model, "_difference_radius"),
+                             (system_model, "_min_sigma"),
+                             (norms, "_block_norm_sums")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_perturbation_study(self, sys_a, counts):
+        study = PerturbationStudy(tau=sys_a.tau, epsilon=0.02, count=3)
+        run_perturbation_study(sys_a, study)
+        assert len(study.records) == 3
+        assert counts == {"_difference_radius": 1, "_min_sigma": 1, "_block_norm_sums": 3}
+
+    def test_strong_hinf_norm(self, sys_a, counts):
+        strong_hinf_norm_T(sys_a)
+        assert counts == {"_difference_radius": 1, "_min_sigma": 1, "_block_norm_sums": 1}
+
+    def test_each_decomposition_has_its_own_gamma_a(self, sys_a, sys_b, counts):
+        dec_a, dec_b = decompose(sys_a), decompose(sys_b)
+        assert dec_a.gamma_a == pytest.approx(0.75, abs=1e-12)
+        assert dec_b.gamma_a == pytest.approx(1.0 / 16.0 + 0.5, abs=1e-12)
+        assert dec_a.gamma_a == pytest.approx(0.75, abs=1e-12)
+        assert counts["_difference_radius"] == 2
 
 
 class TestRationallyIndependentApproach:

@@ -299,7 +299,9 @@ class TestPencilKernel:
                 *response.sigma_Ta_samples(dec, omegas, sys.tau),
                 *response.sigma_Ta_torus_samples(dec, np.outer(omegas, sys.tau)),
                 imaginary_axis_margin(sys, 20.0, count=23),
-                check_difference_stability(dec),
+                # a fresh decomposition: its grid quantities are memoised
+                check_difference_stability(decompose(sys)),
+                decompose(sys).torus_sigma_min,
             ]
 
         whole = evaluate()

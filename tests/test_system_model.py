@@ -135,11 +135,11 @@ class TestAssumption1:
 
 class TestDifferenceStability:
     def test_sys_a_gamma(self, sys_a):
-        gamma = check_difference_stability(decompose(sys_a), sys_a.tau)
+        gamma = check_difference_stability(decompose(sys_a))
         assert gamma == pytest.approx(0.75, abs=1e-12)
 
     def test_sys_b_gamma(self, sys_b):
-        gamma = check_difference_stability(decompose(sys_b), sys_b.tau)
+        gamma = check_difference_stability(decompose(sys_b))
         assert gamma == pytest.approx(1.0 / 16.0 + 0.5, abs=1e-12)
 
     def test_no_delayed_terms(self):
