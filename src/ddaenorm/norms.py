@@ -665,8 +665,11 @@ def strong_hinf_norm_T(
     The result is exactly the maximum of the two component values.  The
     branch records which argument attained it; values that agree within the
     plain norm's relative tolerance are ties, resolved to the asymptotic
-    branch with a tie flag in the diagnostics.  Unlike the plain norm, this
-    quantity is continuous in the delay parameters.
+    branch with a tie flag in the diagnostics.  ``value + abs_tol`` is the
+    larger of the components' own ``value + abs_tol``, so the plain branch's
+    uncertainty (an uncertified tail, say) is kept when the asymptotic branch
+    wins.  Unlike the plain norm, this quantity is continuous in the delay
+    parameters.
     """
     if dec is None:
         rank_tol = hinf_opts.get("rank_tol")
@@ -681,7 +684,7 @@ def strong_hinf_norm_T(
         value=value,
         attained_at=chosen.attained_at,
         branch=BRANCH_ASYMPTOTIC if asymptotic else BRANCH_PLAIN,
-        abs_tol=chosen.abs_tol,
+        abs_tol=max(plain.value + plain.abs_tol, ta.value + ta.abs_tol) - value,
         rel_tol=chosen.rel_tol,
         diagnostics={
             "tie": tie,

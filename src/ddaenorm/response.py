@@ -10,10 +10,23 @@ Every evaluation goes through one pencil kernel.  ``_pencil_map`` (in
 assembles stacks of ``lam*E - A_0 - sum_i A_i e^{-j theta_i}``: ``lam = j w`` and
 ``theta = w tau`` for ``T``; no ``E`` term for the torus matrix of the
 algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
-``_transfer`` is the one reciprocal-condition test (against ``RCOND_MIN``)
-and solve; samplers flag singular samples, the ``eval_*`` functions raise.
-Grids are evaluated in chunks whose pencil stack fits ``_STACK_BYTES``, so
-memory stays bounded for any grid length and system size.
+``_transfer`` is the one singularity test and solve; samplers flag singular
+samples, the ``eval_*`` functions raise.  Grids are evaluated in chunks whose
+pencil stack fits ``_STACK_BYTES``, so memory stays bounded for any grid
+length and system size.
+
+No sample needs an SVD of the pencil.  The singularity test is read off the
+solve: the one solve against ``[B | r]``, with ``r`` a fixed probe vector,
+also gives a lower bound of the condition number, from the row norms of
+``M`` and the norm of ``M^{-1} r``.  It is one-sided:
+every flagged sample also fails the exact test
+``sigma_min(M) > RCOND_MIN * sigma_max(M)``, while a sample just below the
+threshold (``sigma_min / sigma_max`` roughly in ``(1e-16, 1e-14]``) may pass.
+Only a chunk whose LU factorisation meets an exactly zero pivot (numpy then
+rejects the whole stack), and a sample whose estimate overflows, fall back to
+the exact test from singular values.  Transfers with a single row or column
+reduce to a vector 2-norm and 2x2 transfers to a closed form; other shapes
+take an SVD of ``T``.
 
 All evaluations solve linear systems with partial pivoting; matrices are
 never inverted explicitly.  Since ``T(-j w)`` is the complex conjugate of
@@ -27,7 +40,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +61,9 @@ __all__ = [
 ]
 
 # Reciprocal-condition threshold separating near-characteristic-root samples
-# from ordinary roundoff.
+# from ordinary roundoff.  A sample is flagged when a lower bound of its
+# condition number reaches 1 / RCOND_MIN (see ``_transfer``), so a flagged
+# sample always has sigma_min <= RCOND_MIN * sigma_max.
 RCOND_MIN = 1e-14
 
 
@@ -77,21 +94,83 @@ class FrequencyGrid:
         return np.geomspace(self.omega_min, self.omega_max, self.count)
 
 
-def _transfer(M, B, C):
-    """``C M^{-1} B`` at the samples of ``M`` whose matrix passes the rcond test.
+@lru_cache(maxsize=64)
+def _with_probe(shape, data) -> np.ndarray:
+    """``[B | r]`` for the real ``B`` with this shape and bytes.
 
-    A sample passes when ``sigma_min(M) > RCOND_MIN * sigma_max(M)``.  Returns
-    ``(T, ok, s)``: ``T`` stacks the passing samples only, ``ok`` flags them
-    and ``s`` holds the singular values of ``M`` for error messages.
+    ``r_k = exp(2 pi j k phi)``, ``phi`` the golden ratio, is a fixed
+    unit-modulus probe.  Cached because the one-point searches solve against
+    the same ``B`` thousands of times.
     """
-    if M.shape[-1] == 0:  # no states: the transfer is zero
-        N = M.shape[0]
-        return np.zeros((N, C.shape[0], B.shape[1]), dtype=complex), np.ones(N, dtype=bool), None
+    r = np.exp(2j * np.pi * (0.5 + 0.5 * math.sqrt(5.0)) * np.arange(shape[0]))
+    R = np.concatenate([np.frombuffer(data).reshape(shape), r[:, None]], axis=1)
+    R.flags.writeable = False
+    return R
+
+
+def _svd_rcond(M) -> np.ndarray:
+    """Exact ``sigma_min / sigma_max`` per sample (0 for a zero matrix)."""
     s = np.linalg.svd(M, compute_uv=False)
-    ok = s[:, -1] > RCOND_MIN * s[:, 0]  # also False when sigma_max is 0
-    if np.count_nonzero(ok) < ok.size:  # copy only when a sample is singular
-        M = M[ok]
-    return C @ np.linalg.solve(M, B[None]), ok, s
+    return s[:, -1] / np.maximum(s[:, 0], 1e-300)
+
+
+def _transfer(M, B, C):
+    """``C M^{-1} B`` at the samples of ``M`` that pass the singularity test.
+
+    One solve against ``[B | r]`` (``r`` the fixed probe) gives the transfer
+    and the estimate ``kappa = max_i ||e_i^T M|| * ||M^{-1} r|| / ||r||``.  Both
+    factors are lower bounds of ``||M||`` and ``||M^{-1}||``, so
+    ``kappa <= sigma_max / sigma_min``: a sample fails (``kappa >= 1 / RCOND_MIN``)
+    only if it also fails ``sigma_min > RCOND_MIN * sigma_max``, while one with
+    ``sigma_min / sigma_max`` slightly below the threshold may pass.  An
+    exactly zero pivot makes numpy reject the whole stack: that chunk, and any
+    sample whose estimate is not finite, is decided by the exact ratio from
+    its singular values instead.  Returns ``(T, ok, rcond)``: ``T`` stacks the
+    passing samples only, ``ok`` flags them and ``rcond`` holds ``1 / kappa``
+    (or the exact ratio) per sample for error messages, or is None when every
+    sample passes.
+    """
+    N, n, _ = M.shape
+    p = B.shape[1]
+    if n == 0:  # no states: the transfer is zero
+        return np.zeros((N, C.shape[0], p), dtype=complex), np.ones(N, dtype=bool), None
+    R = _with_probe(B.shape, np.asarray(B, dtype=np.float64).tobytes())
+    try:
+        X = np.linalg.solve(M, R[None])
+    except np.linalg.LinAlgError:  # an exactly zero pivot rejects the whole stack
+        rcond = _svd_rcond(M)
+        ok = rcond > RCOND_MIN
+        return C @ np.linalg.solve(M[ok], B[None]), ok, rcond
+    V, W = M.view(np.float64), X.view(np.float64)[..., -2:]  # W: the probe's solution
+    kappa2 = np.maximum.reduce(np.einsum("kij,kij->ki", V, V), axis=1) * np.einsum(
+        "kij,kij->k", W, W) / n
+    ok = kappa2 < RCOND_MIN ** -2
+    rcond = None
+    if np.count_nonzero(ok) < N:
+        rcond = 1.0 / np.sqrt(kappa2)
+        inexact = ~np.isfinite(kappa2)  # the estimate overflowed
+        if inexact.any():
+            rcond[inexact] = _svd_rcond(M[inexact])
+            ok[inexact] = rcond[inexact] > RCOND_MIN
+        X = X[ok]  # keep the passing samples only
+    return C @ X[..., :p], ok, rcond
+
+
+def _sigma_2x2(T) -> np.ndarray:
+    """Descending singular values of a stack of 2x2 matrices, in closed form.
+
+    From the Gram entries ``a``, ``c`` (squared column norms) and ``b`` (the
+    column inner product): ``sigma_1^2 = (a + c) / 2 + hypot((a - c) / 2, |b|)``
+    and ``sigma_2 = |det T| / sigma_1`` (0 when ``sigma_1`` is 0).
+    """
+    V = T.view(np.float64)  # squared column norms without a stack-sized temporary
+    s = np.einsum("kij,kij->kj", V, V)
+    a, c = s[:, 0] + s[:, 1], s[:, 2] + s[:, 3]
+    b = np.abs(np.einsum("ki,ki->k", T[:, :, 0].conj(), T[:, :, 1]))
+    s1 = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+    det = np.abs(T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0])
+    s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0)
+    return np.stack([s1, np.minimum(s2, s1)], axis=1)
 
 
 def _sigma_chunk(M, B, C):
@@ -102,6 +181,8 @@ def _sigma_chunk(M, B, C):
         sig = np.abs(T).reshape(N, p * q)
         if p * q != 1:  # an empty row reduces to 0
             sig = np.hypot.reduce(sig, axis=1, keepdims=True)
+    elif p == q == 2:
+        sig = _sigma_2x2(T)
     else:
         sig = np.linalg.svd(T, compute_uv=False)
     if N < len(ok):  # scatter the passing samples, NaN elsewhere
@@ -117,7 +198,7 @@ def _sample(A, B, C, **samples):
     Returns ``(sigmas, ok)``: one descending row per sample, NaN where the
     matrix failed the rcond test and ``ok`` is False.
     """
-    parts = _pencil_map(lambda M: _sigma_chunk(M, B, C), A, **samples)
+    parts = _pencil_map(lambda M: _sigma_chunk(M, B, C), A, rhs=B.shape[1] + 1, **samples)
     if len(parts) == 1:
         return parts[0]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
@@ -125,12 +206,10 @@ def _sample(A, B, C, **samples):
 
 def _evaluate(A, B, C, point, what, **samples) -> np.ndarray:
     """Transfer matrix at one sample; raises EvaluationError where singular."""
-    [(T, ok, s)] = _pencil_map(lambda M: _transfer(M, B, C), A, **samples)
+    [(T, ok, rcond)] = _pencil_map(lambda M: _transfer(M, B, C), A, **samples)
     if not ok[0]:
-        raise EvaluationError(
-            f"{what} is singular at {point} (rcond ~ {s[0, -1] / max(s[0, 0], 1e-300):.1e})",
-            point=point,
-        )
+        raise EvaluationError(f"{what} is singular at {point} (rcond <= {rcond[0]:.1e})",
+                              point=point)
     return T[0]
 
 

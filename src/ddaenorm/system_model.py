@@ -12,6 +12,7 @@ separates the dynamics into a delay differential part and a delay difference
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,8 +39,9 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 # Absolute floor on sigma_min(A22[0]) for Assumption 1.
 DEFAULT_ASSUMPTION_TOL = 1e-10
-# Byte budget of one complex pencil stack (131,072 samples of a 2x2 pencil); on
-# 2x2 to 40x40 pencils larger budgets ran no faster and took 2-3x the memory.
+# Byte budget of one complex pencil stack and its solution columns (131,072
+# samples of a bare 2x2 pencil); on 2x2 to 40x40 pencils larger budgets ran no
+# faster and took 2-3x the memory.
 _STACK_BYTES = 8 << 20
 
 
@@ -299,38 +301,47 @@ def _resolve_tau(tau, m: int) -> np.ndarray:
     return tau
 
 
-def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None) -> list:
+def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None, rhs=0) -> list:
     """Apply ``fn`` to pencil stacks over consecutive chunks of the samples.
 
     Sample ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
     ``theta_k = omegas[k] * tau`` on the frequency axis, else ``thetas[k]`` on
     the torus; ``lam_k = 1j*omegas[k]``, and without ``E`` the term is dropped
-    (the torus matrix of the algebraic block).  Each chunk's stack holds at
-    most ``_STACK_BYTES`` (and at least one sample), so memory stays bounded
-    however long the grid.  Returns the ``fn`` results in sample order.
+    (the torus matrix of the algebraic block).  Each chunk's stack, together
+    with the ``rhs`` solution columns per sample that ``fn`` allocates, holds
+    at most ``_STACK_BYTES`` (and at least one sample), so memory stays
+    bounded however long the grid.  Returns the ``fn`` results in sample order.
     """
     n = A[0].shape[0]
     count = len(thetas) if omegas is None else len(omegas)
     if count == 1:  # the one-point searches: scalar phases beat a one-deep stack
-        M = (0j if E is None else 1j * omegas[0] * E) - A[0].astype(complex)
-        for i, t in enumerate(thetas[0] if omegas is None else omegas[0] * tau, 1):
-            M -= np.exp(-1j * t) * A[i]
+        M = np.negative(A[0], dtype=complex) if E is None else 1j * float(omegas[0]) * E - A[0]
+        for i, t in enumerate((thetas[0] if omegas is None else omegas[0] * tau).tolist(), 1):
+            M -= cmath.exp(-1j * t) * A[i]
         return [fn(M[None])]
-    step = max(_STACK_BYTES // (16 * max(n * n, 1)), 1)
+    step = max(_STACK_BYTES // (16 * max(n * (n + rhs), 1)), 1)
     out = []
     for lo in range(0, max(count, 1), step):
         sl = slice(lo, lo + step)
-        theta = thetas[sl] if omegas is None else omegas[sl, None] * tau
-        phases = np.exp(-1j * theta)[:, :, None, None]
-        if E is None:
-            M = np.zeros((len(theta), n, n), dtype=complex)
+        if omegas is None:
+            out.append(fn(_pencil_stack(A, None, None, thetas[sl])))
         else:
-            M = 1j * omegas[sl, None, None] * E
-        M -= A[0]
-        for i in range(1, len(A)):
-            M -= phases[:, i - 1] * A[i]
-        out.append(fn(M))
+            out.append(fn(_pencil_stack(A, E, omegas[sl], omegas[sl, None] * tau)))
     return out
+
+
+def _pencil_stack(A, E, omegas, theta) -> np.ndarray:
+    """One chunk of :func:`_pencil_map`; its phase temporaries are freed before ``fn`` runs."""
+    n = A[0].shape[0]
+    phases = np.exp(-1j * theta)[:, :, None, None]
+    if E is None:
+        M = np.zeros((len(theta), n, n), dtype=complex)
+    else:
+        M = 1j * omegas[:, None, None] * E
+    M -= A[0]
+    for i in range(1, len(A)):
+        M -= phases[:, i - 1] * A[i]
+    return M
 
 
 def _min_sigma(A, **samples) -> float:

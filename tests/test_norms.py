@@ -22,7 +22,7 @@ from ddaenorm import (
     system_model,
 )
 from ddaenorm.response import sigma_Ta_samples
-from conftest import brute_hinf_formula, formula_T, formula_T_b
+from conftest import brute_hinf_formula, formula_T, formula_T_b, make_sys_a
 
 
 class TestStrongNormTa:
@@ -221,6 +221,25 @@ class TestStrongHinfNorm:
         assert res.value == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert res.diagnostics["tie"]
         assert res.branch == BRANCH_ASYMPTOTIC
+
+    @pytest.mark.parametrize("tau", [(1.0, 2.0 ** 0.5), (0.999, 2.0)])
+    def test_abs_tol_keeps_plain_branch_uncertainty(self, tau):
+        # the torus value 4 wins, but the plain branch's tail is uncertified:
+        # the bracket must reach as far as the plain branch's own
+        res = strong_hinf_norm_T(make_sys_a(tau))
+        plain = res.diagnostics["plain"]
+        assert res.branch == BRANCH_ASYMPTOTIC and res.value == 4.0
+        assert plain["abs_tol"] > 0.01
+        assert res.value + res.abs_tol == pytest.approx(plain["value"] + plain["abs_tol"],
+                                                        rel=1e-15)
+
+    def test_abs_tol_of_plain_branch(self, sys_b):
+        dec = decompose(sys_b)
+        res = strong_hinf_norm_T(sys_b, dec)
+        ta = strong_norm_Ta(dec)
+        assert res.branch == BRANCH_PLAIN
+        assert res.abs_tol >= res.diagnostics["plain"]["abs_tol"]
+        assert res.value + res.abs_tol >= ta.value + ta.abs_tol
 
     def test_json_round_trip(self, sys_a):
         import json

@@ -349,3 +349,150 @@ class TestPencilKernel:
         assert ok.all() and sig.shape == (omegas.size, 1)
         want = np.array([np.linalg.svd(eval_T(sys, w), compute_uv=False) for w in omegas])
         np.testing.assert_allclose(sig, want, rtol=1e-14)
+
+
+def near_singular_stack(rng, n, count):
+    """Stack ``U diag(sigma) V^H`` whose sigma_min / sigma_max spans 1e-22 .. 1e-8."""
+    def unitary():
+        Z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        return np.linalg.qr(Z)[0]
+    ratio = 10.0 ** rng.uniform(-22.0, -8.0, count)
+    sigma = ratio[:, None] ** np.linspace(0.0, 1.0, n)  # geometric from 1 down to ratio
+    return (unitary() * sigma[:, None, :]) @ unitary().conj().swapaxes(1, 2)
+
+
+def svd_ok(M):
+    """The exact reciprocal-condition test that the solve-based one bounds."""
+    from ddaenorm.response import RCOND_MIN
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[:, -1] > RCOND_MIN * s[:, 0], s[:, -1] / s[:, 0]
+
+
+def count_svd(monkeypatch):
+    """Count calls of ``np.linalg.svd`` from here on; returns a one-item list."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestSingularityRule:
+    """The solve-based singularity test is one-sided against the SVD test."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 40])
+    def test_one_sided_against_svd_test(self, n):
+        from ddaenorm.response import _transfer
+        rng = np.random.default_rng(100 + n)
+        M = near_singular_stack(rng, n, 400)
+        _, ok, _ = _transfer(M, rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
+        exact, ratio = svd_ok(M)
+        assert not (exact & ~ok).any()  # never flags a sample the SVD test passes
+        assert not ok[ratio <= 1e-16].any()  # flags every numerically singular sample
+        if n > 1:
+            assert (ratio <= 1e-16).sum() > 50  # the stack does reach that range
+
+    def test_exact_zero_pivot_falls_back_to_svd(self, monkeypatch):
+        # numpy rejects a stack with an exactly singular matrix as a whole
+        from ddaenorm.response import _transfer
+        calls = count_svd(monkeypatch)
+        M = np.array([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)], dtype=complex)
+        T, ok, rcond = _transfer(M, np.eye(2), np.eye(2))
+        np.testing.assert_array_equal(ok, [True, False, True])
+        assert rcond[1] == 0.0 and calls == [1]
+        np.testing.assert_allclose(T, [np.eye(2), 0.5 * np.eye(2)], rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scaling_is_decided_exactly(self, scale, monkeypatch):
+        # the squared norms of the estimate under- or overflow; the SVD test
+        # passes these well-conditioned samples, so they must pass here too
+        from ddaenorm.response import _transfer
+        rng = np.random.default_rng(111)
+        M = scale * (rng.standard_normal((5, 3, 3)) + 4.0 * np.eye(3))
+        calls = count_svd(monkeypatch)
+        _, ok, _ = _transfer(M.astype(complex), np.ones((3, 1)), np.ones((1, 3)))
+        assert ok.all() and calls == [1]
+
+    def test_message_reports_the_estimate(self):
+        from ddaenorm.response import RCOND_MIN
+        with pytest.raises(EvaluationError, match=r"rcond <= ") as err:
+            eval_T(oscillator(), 1.0)
+        assert float(str(err.value).rsplit("<= ", 1)[1].rstrip(")")) <= RCOND_MIN
+
+
+class TestClosedForm2x2:
+    """The closed-form singular values of 2x2 transfers against LAPACK."""
+
+    @staticmethod
+    def check(T):
+        from ddaenorm.response import _sigma_2x2
+        got = _sigma_2x2(np.asarray(T, dtype=complex))
+        want = np.linalg.svd(T, compute_uv=False)
+        assert np.isfinite(got).all()
+        # sigma_2 is accurate to roundoff relative to sigma_1, as for an SVD
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * want[:, :1].max())
+        return got
+
+    def test_random_complex(self):
+        rng = np.random.default_rng(120)
+        self.check(rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)))
+
+    def test_equal_singular_values(self):
+        rng = np.random.default_rng(121)
+        Z = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        Q = np.linalg.qr(Z)[0] * rng.uniform(0.1, 10.0, (50, 1, 1))
+        got = self.check(Q)
+        np.testing.assert_allclose(got[:, 1], got[:, 0], rtol=1e-14)
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(122)
+        u = rng.standard_normal((50, 2, 1)) + 1j * rng.standard_normal((50, 2, 1))
+        v = rng.standard_normal((50, 1, 2)) + 1j * rng.standard_normal((50, 1, 2))
+        self.check(u @ v)
+        self.check(np.array([[[1.0, 2.0], [2.0, 4.0]]]))  # exactly singular
+
+    def test_zero_matrix(self):
+        got = self.check(np.zeros((3, 2, 2)))
+        np.testing.assert_array_equal(got, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_entries(self, scale):
+        rng = np.random.default_rng(123)
+        Z = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        self.check(scale * Z)
+
+
+class TestSvdFreeHotPath:
+    """Grids of T and of the torus function take no SVD; other shapes one per chunk."""
+
+    def test_scan_of_sys_a(self, sys_a, monkeypatch):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_torus_samples
+        dec = decompose(sys_a)
+        calls = count_svd(monkeypatch)
+        sigma_T_samples(sys_a, np.linspace(0.0, 50.0, 1000))
+        sigma_Ta_torus_samples(dec, np.random.default_rng(130).uniform(0.0, 6.3, (1000, 2)))
+        assert calls == [0]
+
+    def test_scan_of_two_by_two_system(self, monkeypatch):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_torus_samples
+        sys = random_system(np.random.default_rng(131), n=10)
+        dec = decompose(sys)
+        calls = count_svd(monkeypatch)
+        sig, ok = sigma_T_samples(sys, np.linspace(0.0, 50.0, 1000))
+        sigma_Ta_torus_samples(dec, np.random.default_rng(132).uniform(0.0, 6.3, (1000, 2)))
+        assert ok.all() and sig.shape == (1000, 2)
+        assert calls == [0]
+
+    def test_three_by_two_output_takes_one_svd_per_chunk(self, monkeypatch):
+        from ddaenorm import system_model
+        from ddaenorm.response import sigma_T_samples
+        sys = random_system(np.random.default_rng(133), p_in=2, p_out=3)
+        # 300 samples: a 5x5 pencil with three solution columns (two inputs and the probe)
+        monkeypatch.setattr(system_model, "_STACK_BYTES", 300 * 16 * 5 * (5 + 3))
+        calls = count_svd(monkeypatch)
+        sig, ok = sigma_T_samples(sys, np.linspace(0.0, 50.0, 1000))
+        assert ok.all() and sig.shape == (1000, 2)
+        assert calls == [4]
