@@ -127,36 +127,51 @@ def _jsonable(obj):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ULPS16 = 16.0 * float(np.finfo(float).eps)  # golden-section x tolerance floor, relative
 
 
 def _golden_section_max(f, lo, hi, xtol):
-    """Derivative-free maximization on [lo, hi]; returns the best point seen.
+    """Derivative-free maximization on the brackets ``[lo[k], hi[k]]`` in lockstep.
 
-    The x tolerance is floored at a few ulps of the interval location so the
+    ``f`` maps an array of points to an array of values.  The first call holds
+    both ends and both interior points of every bracket; each later call holds
+    the one new point of every bracket still wider than its x tolerance, so a
+    search costs one ``f`` call per golden-section step, whatever the number
+    of brackets.  Each bracket runs the scalar search on Python floats (same
+    updates, strict ``>`` for the best point seen), so a single bracket costs
+    what a scalar search would.  Returns the arrays of best points and values.
+    The x tolerance is floored at a few ulps of the bracket location so the
     shrink loop terminates even when ``xtol`` is below floating resolution.
     """
-    xtol = max(xtol, 16.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx > best_f:
-                best_x, best_f = x, fx
-    return best_x, best_f
+    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+    if not lo:
+        return np.empty(0), np.empty(0)
+    tol = [max(xtol, _ULPS16 * max(abs(l), abs(h), 1.0)) for l, h in zip(lo, hi)]
+    a, b = lo[:], hi[:]
+    x1 = [r - _INVPHI * (r - l) for l, r in zip(a, b)]
+    x2 = [l + _INVPHI * (r - l) for l, r in zip(a, b)]
+    f_lo, f_hi, f1, f2 = (v.tolist() for v in np.split(f(np.array(lo + hi + x1 + x2)), 4))
+    best = [(r, fr) if fr > fl else (l, fl) for l, r, fl, fr in zip(lo, hi, f_lo, f_hi)]
+    live = range(len(lo))
+    while live := [k for k in live if b[k] - a[k] > tol[k]]:
+        up = [f1[k] < f2[k] for k in live]
+        for k, u in zip(live, up):
+            if u:
+                a[k], x1[k], f1[k] = x1[k], x2[k], f2[k]
+                x2[k] = a[k] + _INVPHI * (b[k] - a[k])
+            else:
+                b[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
+                x1[k] = b[k] - _INVPHI * (b[k] - a[k])
+        values = f(np.array([x2[k] if u else x1[k] for k, u in zip(live, up)])).tolist()
+        for k, u, value in zip(live, up, values):
+            if u:
+                f2[k] = value
+            else:
+                f1[k] = value
+            for x, fx in ((x1[k], f1[k]), (x2[k], f2[k])):
+                if fx > best[k][1]:
+                    best[k] = (x, fx)
+    return np.array([x for x, _ in best]), np.array([fx for _, fx in best])
 
 
 def _default_torus_points(m: int) -> int:
@@ -171,10 +186,10 @@ def _default_torus_points(m: int) -> int:
     )
 
 
-def _sigma1(sample, system, point, *args) -> float:
-    """sigma_1 at one point from a sampler, or -inf where the pencil is singular."""
-    sig, ok = sample(system, np.array([point]), *args)
-    return float(sig[0, 0]) if ok[0] else -math.inf
+def _sigma1(sample, system, points, *args) -> np.ndarray:
+    """sigma_1 at ``points`` from a sampler, -inf where the pencil is singular."""
+    sig, ok = sample(system, points, *args)
+    return np.where(ok, sig[:, 0], -np.inf)
 
 
 def strong_norm_Ta(
@@ -218,7 +233,7 @@ def strong_norm_Ta(
             stacklevel=2,
         )
     if m == 0:
-        value = _sigma1(sigma_Ta_torus_samples, dec, np.zeros(0))
+        value = float(_sigma1(sigma_Ta_torus_samples, dec, np.zeros((1, 0)))[0])
         return NormResult(
             value=value, attained_at=(), branch=BRANCH_ASYMPTOTIC,
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,
@@ -246,14 +261,14 @@ def strong_norm_Ta(
         moved = 0.0
         for i in range(m):
             def f(t, _i=i):
-                point = theta.copy()
-                point[_i] = t
-                return _sigma1(sigma_Ta_torus_samples, dec, point)
-            x, fx = _golden_section_max(f, theta[i] - h, theta[i] + h, refine_tol)
+                points = np.repeat(theta[None], t.size, axis=0)
+                points[:, _i] = t
+                return _sigma1(sigma_Ta_torus_samples, dec, points)
+            [x], [fx] = _golden_section_max(f, [theta[i] - h], [theta[i] + h], refine_tol)
             if fx > best:
                 moved = max(moved, abs(x - theta[i]))
                 theta[i] = x
-                best = fx
+                best = float(fx)
         h = max(h * 0.5, 4.0 * refine_tol)
         if moved < refine_tol:
             break
@@ -382,7 +397,7 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
     if dec.nu == 0:
         return {"value": 0.0, "omega": 0.0, "exact": True, "s": None, "period": None}
     if dec.m == 0:
-        val = _sigma1(sigma_Ta_samples, dec, 0.0, tau)
+        val = float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0])
         return {"value": val, "omega": 0.0, "exact": True, "s": None, "period": None}
     if dec.m == 1:
         # A single phase makes T_a periodic regardless of rationality.
@@ -410,11 +425,11 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
         )
     i = int(np.argmax(sig[:, 0]))
     h = omegas[1] - omegas[0] if omegas.size > 1 else step
-    w, v = _golden_section_max(
+    [w], [v] = _golden_section_max(
         lambda x: _sigma1(sigma_Ta_samples, dec, x, tau),
-        max(omegas[i] - h, 0.0), omegas[i] + h, 1e-10,
+        [max(omegas[i] - h, 0.0)], [omegas[i] + h], 1e-10,
     )
-    return {"value": v, "omega": w, "exact": exact, "s": s, "period": period}
+    return {"value": float(v), "omega": float(w), "exact": exact, "s": s, "period": period}
 
 
 def _local_max_indices(values: np.ndarray) -> np.ndarray:
@@ -430,16 +445,19 @@ def _local_max_indices(values: np.ndarray) -> np.ndarray:
 
 
 def _bisect_crossing(f, lo, hi, flo, xtol):
-    """Locate a sign change of f on [lo, hi]; flo is the sign at lo."""
+    """Locate a sign change of f on each bracket ``[lo[k], hi[k]]``, all in lockstep.
+
+    ``flo`` holds the signs at ``lo``; ``f`` maps an array of points to an
+    array of values, and each step evaluates the midpoints of the brackets
+    still wider than ``xtol`` in one call (at most 60 steps).
+    """
+    lo, hi, pos = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(flo) > 0.0
     for _ in range(60):
-        if hi - lo <= xtol:
+        if not (open_ := np.nonzero(hi - lo > xtol)[0]).size:
             break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[open_] + hi[open_])
+        same = (f(mid) > 0.0) == pos[open_]
+        lo[open_[same]], hi[open_[~same]] = mid[same], mid[~same]
     return 0.5 * (lo + hi)
 
 
@@ -462,10 +480,13 @@ def hinf_norm_T(
     low-frequency resonance range and -- for commensurate delays -- two full
     periods of the asymptotic part, then polishes candidate peaks by golden
     section and certifies the level by a crossing search: the iteration stops
-    once ``sigma_1`` nowhere crosses ``value * (1 + bisect_tol)``.  When the
-    certified cap requires it (and the budget allows), the scan is extended to
-    the rigorous frequency bound; otherwise the remaining tail uncertainty is
-    reported in the diagnostics.
+    once ``sigma_1`` nowhere crosses ``value * (1 + bisect_tol)``.  All peaks
+    are polished, and all crossings of a level bisected, in lockstep: each
+    step is one batched evaluation holding the next point of every open
+    bracket, so the number of calls does not grow with the number of peaks.
+    When the certified cap requires it (and the budget allows), the scan is
+    extended to the rigorous frequency bound; otherwise the remaining tail
+    uncertainty is reported in the diagnostics.
 
     Peaks whose values agree within ``bisect_tol`` (relative) are ties and the
     smallest frequency wins, so weakly separated recurring peaks yield the
@@ -473,6 +494,9 @@ def hinf_norm_T(
 
     Raises
     ------
+    ValueError
+        An option is out of range: ``bisect_tol >= 0``, ``scan_density > 0``,
+        ``max_scan_points >= 2`` and ``max_iter >= 1`` are required.
     AssumptionError
         Undelayed algebraic block singular.
     InstabilityError
@@ -482,6 +506,14 @@ def hinf_norm_T(
     ConvergenceError
         The level iteration exhausted its budget without certifying.
     """
+    for name, value, rule, ok in (
+        ("bisect_tol", bisect_tol, ">= 0", bisect_tol >= 0.0),
+        ("scan_density", scan_density, "> 0", scan_density > 0),
+        ("max_scan_points", max_scan_points, ">= 2", max_scan_points >= 2),
+        ("max_iter", max_iter, ">= 1", max_iter >= 1),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
     if dec is None:
         dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
@@ -543,11 +575,11 @@ def hinf_norm_T(
             tail_certified = True
             omega_cap = omega_rig
 
-    def refine_peak(w_center, h):
-        lo = max(w_center - h, 0.0)
-        return _golden_section_max(
-            lambda x: _sigma1(sigma_T_samples, sys, x, tau), lo, w_center + h, 1e-10
-        )
+    def sigma_at(points):
+        return _sigma1(sigma_T_samples, sys, points, tau)
+
+    def refine_peaks(w_center, h):
+        return _golden_section_max(sigma_at, np.maximum(w_center - h, 0.0), w_center + h, 1e-10)
 
     capture = max(0.02, 8.0 * bisect_tol)
     idx = _local_max_indices(sigma1)
@@ -555,10 +587,8 @@ def hinf_norm_T(
     if idx.size > 400:
         order = np.argsort(sigma1[idx])[::-1]
         idx = idx[order[:400]]
-    catalog = [(0.0, float(sigma1[0]))]
-    for i in idx:
-        w, v = refine_peak(float(omegas[i]), step)
-        catalog.append((w, v))
+    w, v = refine_peaks(omegas[idx], step)
+    catalog = [(0.0, float(sigma1[0]))] + list(zip(w.tolist(), v.tolist()))
     xi = max(v for _, v in catalog)
 
     levels = [xi]
@@ -573,26 +603,20 @@ def hinf_norm_T(
             break
         # Bracket the crossings of the current level.
         flips = np.nonzero(above[:-1] != above[1:])[0]
-        crossings = []
-        for i in flips:
-            g = lambda x: _sigma1(sigma_T_samples, sys, x, tau) - level
-            crossings.append(
-                _bisect_crossing(g, float(omegas[i]), float(omegas[i + 1]),
-                                 float(sigma1[i]) - level, step * 1e-3)
-            )
+        crossings = _bisect_crossing(lambda x: sigma_at(x) - level, omegas[flips],
+                                     omegas[flips + 1], sigma1[flips] - level,
+                                     step * 1e-3).tolist()
         if above[0]:
             crossings.insert(0, 0.0)
         if above[-1]:
             crossings.append(float(omegas[-1]))
-        new_xi = xi
-        for lo_w, hi_w in zip(crossings[::2], crossings[1::2]):
-            mid = 0.5 * (lo_w + hi_w)
-            v_mid = _sigma1(sigma_T_samples, sys, mid, tau)
-            w, v = refine_peak(mid, max(0.5 * (hi_w - lo_w), step))
-            if v_mid > v:
-                w, v = mid, v_mid
-            catalog.append((w, v))
-            new_xi = max(new_xi, v)
+        lo_w, hi_w = np.array(crossings[:-1:2]), np.array(crossings[1::2])
+        mid = 0.5 * (lo_w + hi_w)
+        v_mid = sigma_at(mid)
+        w, v = refine_peaks(mid, np.maximum(0.5 * (hi_w - lo_w), step))
+        w, v = np.where(v_mid > v, mid, w), np.where(v_mid > v, v_mid, v)
+        catalog += zip(w.tolist(), v.tolist())
+        new_xi = max(xi, float(v.max()))
         if new_xi > xi * (1.0 + 1e-12):
             xi = new_xi
             levels.append(xi)

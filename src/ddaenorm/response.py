@@ -99,8 +99,8 @@ def _with_probe(shape, data) -> np.ndarray:
     """``[B | r]`` for the real ``B`` with this shape and bytes.
 
     ``r_k = exp(2 pi j k phi)``, ``phi`` the golden ratio, is a fixed
-    unit-modulus probe.  Cached because the one-point searches solve against
-    the same ``B`` thousands of times.
+    unit-modulus probe.  Cached because the peak and crossing searches solve
+    against the same ``B`` in every step.
     """
     r = np.exp(2j * np.pi * (0.5 + 0.5 * math.sqrt(5.0)) * np.arange(shape[0]))
     R = np.concatenate([np.frombuffer(data).reshape(shape), r[:, None]], axis=1)

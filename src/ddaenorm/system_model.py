@@ -314,7 +314,7 @@ def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None, rhs=0) -> 
     """
     n = A[0].shape[0]
     count = len(thetas) if omegas is None else len(omegas)
-    if count == 1:  # the one-point searches: scalar phases beat a one-deep stack
+    if count == 1:  # a search step with one open bracket: scalar phases beat a one-deep stack
         M = np.negative(A[0], dtype=complex) if E is None else 1j * float(omegas[0]) * E - A[0]
         for i, t in enumerate((thetas[0] if omegas is None else omegas[0] * tau).tolist(), 1):
             M -= cmath.exp(-1j * t) * A[i]

@@ -126,6 +126,10 @@ class TestNorm:
         main(["norm", sys_a_file, "--kind", "strong-ta", "--out", str(out)])
         assert json.loads(out.read_text())["value"] == pytest.approx(4.0, abs=1e-6)
 
+    def test_negative_tolerance_is_usage_error(self, sys_a_file, capsys):
+        assert main(["norm", sys_a_file, "--kind", "hinf", "--tol", "-0.001"]) == 1
+        assert "bisect_tol" in capsys.readouterr().err
+
     def test_unbounded_is_numerical_failure(self, tmp_path):
         doc = {"n": 1, "delays": [1.0], "E": [[0.0]], "A": [[[1.0]], [[-1.0]]],
                "B": [[1.0]], "C": [[1.0]]}

@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddaenorm import (
     BRANCH_ASYMPTOTIC,
@@ -22,7 +23,13 @@ from ddaenorm import (
     system_model,
 )
 from ddaenorm.response import sigma_Ta_samples
-from conftest import brute_hinf_formula, formula_T, formula_T_b, make_sys_a
+from conftest import (
+    brute_hinf_formula,
+    formula_T,
+    formula_T_b,
+    make_sys_a,
+    random_stable_system,
+)
 
 
 class TestStrongNormTa:
@@ -160,7 +167,9 @@ class TestHinfNorm:
 
         def sampler(system, grid, *args):
             sig, ok = real(system, grid, *args)
-            if grid.size > 1:
+            # the scans are uniform grids from 0; polish and bisection steps
+            # evaluate many points per call too, but never such a grid
+            if grid.size > 2 and grid[0] == 0.0 and grid[2] - grid[1] == grid[1]:
                 step = grid[1] - grid[0]
                 if not first_step:
                     first_step.append(step)
@@ -177,6 +186,28 @@ class TestHinfNorm:
             hinf_norm_T(sys_a)
         assert len(flagged) == 1
         assert f"omega={flagged[0]:.6g}" in str(err.value)
+
+    def test_level_crossings_on_a_random_system(self):
+        # a coarse scan leaves a crossing pair for the level loop to bisect
+        res = hinf_norm_T(random_stable_system(6), scan_density=4)
+        assert res.value == 3.9215563161592155
+        assert res.attained_at == 1.367604842325253
+        assert res.diagnostics["iterations"] == 2
+        assert res.diagnostics["crossings"] == [1.3480865342224009, 1.387123150428105]
+        assert res.diagnostics["levels"] == [3.9127316939061076, 3.9215563161592155]
+
+    @pytest.mark.parametrize("option, value", [
+        ("scan_density", 0), ("scan_density", -3), ("max_scan_points", 1),
+        ("bisect_tol", -1e-3), ("bisect_tol", float("nan")), ("max_iter", 0),
+    ])
+    def test_out_of_range_option_rejected(self, sys_a, option, value):
+        with pytest.raises(ValueError, match=option):
+            hinf_norm_T(sys_a, **{option: value})
+
+    def test_two_scan_points_give_an_honest_bracket(self, sys_a):
+        res = hinf_norm_T(sys_a, max_scan_points=2)
+        assert res.value == 2.0 and res.abs_tol == 2.0
+        assert res.diagnostics["scan_truncated"]
 
 
 class TestStrongHinfNorm:
@@ -285,6 +316,100 @@ class TestFrequencyBound:
             frequency_bound(decompose(sys_a), sys_a.tau, 0.0)
 
 
+def _scalar_golden(f, lo, hi, xtol):
+    """One bracket at a time, one point per call: the reference for the lockstep search."""
+    xtol = max(xtol, 16.0 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
+    g = lambda x: f(np.array([x]))[0]  # noqa: E731
+    best_x, best_f = lo, g(lo)
+    f_hi = g(hi)
+    if f_hi > best_f:
+        best_x, best_f = hi, f_hi
+    a, b = lo, hi
+    x1 = b - norms._INVPHI * (b - a)
+    x2 = a + norms._INVPHI * (b - a)
+    f1, f2 = g(x1), g(x2)
+    steps = 0
+    while b - a > xtol:
+        steps += 1
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + norms._INVPHI * (b - a)
+            f2 = g(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - norms._INVPHI * (b - a)
+            f1 = g(x1)
+        for x, fx in ((x1, f1), (x2, f2)):
+            if fx > best_f:
+                best_x, best_f = x, fx
+    return best_x, best_f, steps
+
+
+def _bumpy(x):
+    """Two rational bumps, -inf on a comb of bands (singular samples)."""
+    val = 1.0 / (1.0 + (x - 0.3) ** 2) + 0.5 / (1.0 + 40.0 * (x - 2.1) ** 2)
+    return np.where(np.fmod(np.abs(x) * 7.0, 1.0) < 0.15, -np.inf, val)
+
+
+class TestLockstepGoldenSection:
+    """Every bracket of the lockstep search repeats the scalar search bit for bit."""
+
+    def check(self, lo, hi, xtol):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return _bumpy(x)
+
+        best_x, best_f = norms._golden_section_max(f, lo, hi, xtol)
+        want = [_scalar_golden(_bumpy, a, b, xtol) for a, b in zip(lo, hi)]
+        assert best_x.tolist() == [w[0] for w in want]
+        assert best_f.tolist() == [w[1] for w in want]
+        # one call per step of the longest search, each holding the open brackets
+        assert len(calls) == (1 + max(w[2] for w in want) if want else 0)
+        assert sum(calls) == sum(4 + w[2] for w in want)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.floats(-1.0, 4.0), st.floats(1e-7, 2.0)), max_size=8),
+           st.sampled_from([0.0, 1e-10, 1e-6, 1e-2]))
+    def test_matches_scalar_search(self, brackets, xtol):
+        # brackets clipped at 0 are narrower and finish early
+        lo = [max(c - h, 0.0) for c, h in brackets]
+        self.check(lo, [c + h for c, h in brackets], xtol)
+
+    def test_unequal_widths(self):
+        self.check([0.0, 0.25, 1.9], [3.0, 0.35, 2.3], 1e-10)
+
+    def test_single_bracket(self):
+        self.check([1.5], [2.5], 1e-10)
+
+    def test_no_brackets(self):
+        self.check([], [], 1e-10)
+
+    def test_minus_inf_everywhere(self):
+        best_x, best_f = norms._golden_section_max(
+            lambda x: np.full(x.size, -np.inf), [0.0, 1.0], [1.0, 3.0], 1e-6)
+        assert best_x.tolist() == [0.0, 1.0] and best_f.tolist() == [-np.inf, -np.inf]
+
+
+class TestLockstepBisection:
+    def test_matches_scalar_bisection(self):
+        lo, hi = np.array([0.0, 0.25, 1.9, 0.0]), np.array([0.5, 0.75, 2.3, 0.0])
+        f = lambda x: _bumpy(x) - 0.9  # noqa: E731
+        got = norms._bisect_crossing(f, lo, hi, f(lo), 1e-9)
+        for k in range(lo.size):
+            a, b, pos = lo[k], hi[k], f(lo[k:k + 1])[0] > 0.0
+            for _ in range(60):
+                if b - a <= 1e-9:
+                    break
+                mid = 0.5 * (a + b)
+                if (f(np.array([mid]))[0] > 0.0) == pos:
+                    a = mid
+                else:
+                    b = mid
+            assert got[k] == 0.5 * (a + b)
+
+
 class TestEvaluationCounts:
     """The delay-independent grid quantities are evaluated once per decomposition."""
 
@@ -335,3 +460,25 @@ class TestRationallyIndependentApproach:
         assert all(a <= b + 1e-12 for a, b in zip(sups, sups[1:]))
         assert all(s <= strong + 1e-9 for s in sups)
         assert sups[-1] >= 0.98 * strong
+
+
+class TestPlainNormEvaluations:
+    """Points of the frequency scan and of the lockstep searches, and their calls."""
+
+    @pytest.mark.parametrize("tau, points, calls", [
+        ((1.0, 2.0), 8_071, 46),
+        ((0.99, 2.0), 40_545, 45),
+        ((0.999, 2.0), 405_877, 45),
+    ])
+    def test_sys_a(self, monkeypatch, tau, points, calls):
+        seen = []
+        real = norms.sigma_T_samples
+
+        def counted(system, grid, *args):
+            seen.append(np.size(grid))
+            return real(system, grid, *args)
+
+        monkeypatch.setattr(norms, "sigma_T_samples", counted)
+        hinf_norm_T(make_sys_a(tau))
+        assert sum(seen) == points
+        assert len(seen) == calls
