@@ -60,9 +60,7 @@ from .response import (
 from .sensitivity import (
     PerturbationRecord,
     PerturbationStudy,
-    ProbeResult,
     commensurate_approximation,
-    rational_independence_probe,
     run_perturbation_study,
     sample_delays,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "PerturbationRecord",
     "PerturbationStudy",
     "PlantBlock",
-    "ProbeResult",
     "SchemaError",
     "StaticDelayController",
     "SvCurve",
@@ -121,7 +118,6 @@ __all__ = [
     "load_interconnect",
     "load_system",
     "nullspace_bases",
-    "rational_independence_probe",
     "run_perturbation_study",
     "sample_delays",
     "save_system",

@@ -208,8 +208,11 @@ def strong_norm_Ta(
     A uniform grid (``grid_per_dim`` points per dimension, default 400 for
     m <= 2, 64 for m = 3, 16 for m = 4, refusal beyond without an explicit
     override) seeds a coordinate-wise golden-section ascent that runs until
-    the step is below ``refine_tol``.  Grid points tie-break to the
-    lexicographically smallest torus point.
+    the step is below ``refine_tol``.  Since ``sigma_1`` takes the same value
+    at ``theta`` and ``-theta``, the grid holds one point of each such pair,
+    the lexicographically smaller (about half the points).  Grid points
+    tie-break to the lexicographically smallest torus point, as on the full
+    grid.
 
     Raises
     ------

@@ -31,7 +31,9 @@ take an SVD of ``T``.
 All evaluations solve linear systems with partial pivoting; matrices are
 never inverted explicitly.  Since ``T(-j w)`` is the complex conjugate of
 ``T(j w)``, singular value curves are even in ``w`` and sweeps cover
-``w >= 0`` only.
+``w >= 0`` only.  For the same reason (the coefficients are real) the torus
+function at ``-theta`` is the conjugate of its value at ``theta``, and the
+torus grids hold one point of each such pair.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ alternative.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,8 +31,6 @@ __all__ = [
     "sample_delays",
     "run_perturbation_study",
     "commensurate_approximation",
-    "rational_independence_probe",
-    "ProbeResult",
 ]
 
 _S_LADDER = tuple(10 ** k for k in range(1, 10))
@@ -244,47 +241,3 @@ def commensurate_approximation(tau, s: int):
         raise ValueError(f"component of tau rounds to zero at s={s}")
     return rounded
 
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of the integer-relation search over the delays."""
-
-    verdict: str  # "dependent" | "no-relation-found-up-to-cap"
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.verdict == "dependent"
-
-
-def rational_independence_probe(tau, denominator_cap: int, allow_large: bool = False) -> ProbeResult:
-    """Search for small integer relations ``sum z_k tau_k = 0``.
-
-    Enumerates witnesses by increasing max |z_k| (then lexicographically, with
-    the first nonzero entry positive), up to ``denominator_cap``.  Finding a
-    relation proves rational dependence; not finding one only means no
-    relation exists up to the cap -- independence is never claimed.
-
-    Exhaustive search is limited to m <= 3 unless ``allow_large`` is set.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    m = tau.size
-    if m < 1:
-        raise ValueError("need at least one delay")
-    if m > 3 and not allow_large:
-        raise ValueError(
-            f"exhaustive search over m={m} delays needs allow_large=True"
-        )
-    if denominator_cap < 1:
-        raise ValueError("denominator_cap must be >= 1")
-    scale = float(np.abs(tau).max())
-    for cap in range(1, denominator_cap + 1):
-        for z in itertools.product(range(-cap, cap + 1), repeat=m):
-            if max(abs(zk) for zk in z) != cap:
-                continue  # enumerated at a smaller cap already
-            nonzero = [zk for zk in z if zk != 0]
-            if not nonzero or nonzero[0] < 0:
-                continue  # canonical sign: first nonzero entry positive
-            total = float(np.dot(z, tau))
-            if abs(total) <= 1e-9 * max(scale * cap, 1.0):
-                return ProbeResult(verdict="dependent", witness=tuple(int(v) for v in z))
-    return ProbeResult(verdict="no-relation-found-up-to-cap", witness=None)

@@ -45,8 +45,16 @@ DEFAULT_ASSUMPTION_TOL = 1e-10
 _STACK_BYTES = 8 << 20
 
 
+def _as_real(x, name) -> np.ndarray:
+    """``x`` as a float array; complex input is refused, never truncated."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real")
+    return x.astype(float, copy=False)
+
+
 def _as_matrix(M, name):
-    M = np.asarray(M, dtype=float)
+    M = _as_real(M, name)
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got shape {M.shape}")
     return M
@@ -66,7 +74,9 @@ def _sigma_min(M):
 
 @dataclass(frozen=True, eq=False)
 class DdaeSystem:
-    """Immutable delay differential algebraic system.
+    """Immutable delay differential algebraic system with real coefficients.
+
+    Complex input is refused with a ``ValueError`` naming the argument.
 
     Parameters
     ----------
@@ -100,17 +110,17 @@ class DdaeSystem:
         for i, Ai in enumerate(A):
             if Ai.shape != (n, n):
                 raise DimensionError(f"A[{i}] has shape {Ai.shape}, expected {(n, n)}")
-        B = np.asarray(self.B, dtype=float)
+        B = _as_real(self.B, "B")
         if B.ndim == 1:
             B = B.reshape(n, 1)
         if B.ndim != 2 or B.shape[0] != n:
             raise DimensionError(f"B must have {n} rows, got shape {B.shape}")
-        C = np.asarray(self.C, dtype=float)
+        C = _as_real(self.C, "C")
         if C.ndim == 1:
             C = C.reshape(1, n)
         if C.ndim != 2 or C.shape[1] != n:
             raise DimensionError(f"C must have {n} columns, got shape {C.shape}")
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
+        tau = np.atleast_1d(_as_real(self.tau, "tau"))
         if tau.ndim != 1 or len(tau) != len(A) - 1:
             raise DimensionError(
                 f"tau has {tau.size} entries for {len(A) - 1} delayed coefficients"
@@ -280,10 +290,41 @@ def check_assumption1(dec: BlockDecomposition, tol: float = DEFAULT_ASSUMPTION_T
 
 
 def _torus_grid(m: int, grid_per_dim: int) -> np.ndarray:
-    """Uniform grid on [0, 2*pi)^m, shape (grid_per_dim**m, m), C-order."""
-    theta = 2.0 * np.pi * np.arange(grid_per_dim) / grid_per_dim
-    mesh = np.meshgrid(*([theta] * m), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, m)
+    """One point of each conjugate pair of the uniform grid on [0, 2*pi)^m, C-order.
+
+    The coefficients are real, so every torus quantity at ``-theta`` is the
+    conjugate of its value at ``theta``.  Of grid index ``k`` and its mirror
+    ``(-k) mod g`` only the lexicographically smaller is kept: the rows are the
+    full C-order grid's rows with the larger mirrors removed, and there are
+    ``(g**m + 2**m) / 2`` of them for even ``g`` and ``(g**m + 1) / 2`` for odd.
+    A row is kept when its first coordinate that is not its own mirror (``0``,
+    or ``pi`` for even ``g``) lies in ``(0, pi)``; the grid is built from that
+    rule one leading coordinate at a time.
+    """
+    g = grid_per_dim
+    theta = 2.0 * np.pi * np.arange(g) / g
+    low = theta[1:(g + 1) // 2]  # (0, pi): the smaller point of each pair
+    own = theta[[0, g // 2]] if g % 2 == 0 else theta[:1]  # each its own mirror
+    half = full = np.empty((1, 0))  # kept rows and all rows of the trailing coordinates
+    for j in range(m):
+        half = _products([(own[:1], half), (low, full), (own[1:], half)])
+        if j < m - 1:
+            full = _products([(theta, full)])
+    return half
+
+
+def _products(parts) -> np.ndarray:
+    """Rows ``(t, *r)`` for each ``(ts, rows)`` of ``parts`` in turn, ``t`` in ``ts``
+    and ``r`` a row of ``rows``, in C order and written into one array."""
+    width = 1 + parts[0][1].shape[1]
+    out = np.empty((sum(len(t) * len(r) for t, r in parts), width))
+    lo = 0
+    for t, r in parts:
+        block = out[lo:lo + len(t) * len(r)].reshape(len(t), len(r), width)
+        block[:, :, 0] = t[:, None]
+        block[:, :, 1:] = r
+        lo += len(t) * len(r)
+    return out
 
 
 def _default_diff_grid(m: int) -> int:
@@ -360,8 +401,9 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     without an algebraic part.  On the default grid (``grid_per_dim=None``)
     this is the value memoised in :attr:`BlockDecomposition.gamma_a`.
 
-    The grid estimate is monotone nondecreasing under refinement by doubling
-    (each coarse grid is contained in its doubled version).
+    The grid estimate is monotone nondecreasing under refinement by doubling:
+    the grid keeps one point of each conjugate pair (:func:`_torus_grid`), and
+    the pair of every coarse point lies in the doubled grid.
     """
     if dec.m == 0:
         return 0.0

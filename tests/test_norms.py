@@ -11,6 +11,7 @@ from ddaenorm import (
     InstabilityError,
     PerturbationStudy,
     UnboundedNormError,
+    check_difference_stability,
     decompose,
     eval_T,
     frequency_bound,
@@ -22,12 +23,14 @@ from ddaenorm import (
     strong_norm_Ta,
     system_model,
 )
-from ddaenorm.response import sigma_Ta_samples
+from ddaenorm.response import sigma_Ta_samples, sigma_Ta_torus_samples
+from ddaenorm.system_model import _min_sigma, _pencil_map, _torus_grid
 from conftest import (
     brute_hinf_formula,
     formula_T,
     formula_T_b,
     make_sys_a,
+    make_sys_b,
     random_stable_system,
 )
 
@@ -482,3 +485,70 @@ class TestPlainNormEvaluations:
         hinf_norm_T(make_sys_a(tau))
         assert sum(seen) == points
         assert len(seen) == calls
+
+
+class TestTorusEvaluations:
+    """Points and calls of ``strong_norm_Ta``'s half-torus sweep and its polish."""
+
+    @pytest.mark.parametrize("make", [make_sys_a, make_sys_b], ids=["SYS-A", "SYS-B"])
+    def test_sweep_and_polish(self, monkeypatch, make):
+        seen = []
+        real = norms.sigma_Ta_torus_samples
+
+        def counted(dec, thetas):
+            seen.append(len(thetas))
+            return real(dec, thetas)
+
+        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
+        strong_norm_Ta(decompose(make()))
+        assert seen[0] == 80_002  # (400**2 + 2**2) / 2: one point of each conjugate pair
+        assert sum(seen) == 80_074
+        assert len(seen) == 67
+
+
+def _full_torus_grid(m, g):
+    theta = 2.0 * np.pi * np.arange(g) / g
+    return np.stack(np.meshgrid(*([theta] * m), indexing="ij"), axis=-1).reshape(-1, m)
+
+
+def _three_delay_system():
+    rng = np.random.default_rng(5)
+    A = [np.eye(2) + 0.2 * rng.standard_normal((2, 2))]
+    A += [0.25 * rng.standard_normal((2, 2)) for _ in range(3)]
+    return DdaeSystem(E=np.zeros((2, 2)), A=tuple(A), B=rng.standard_normal((2, 2)),
+                      C=rng.standard_normal((2, 2)), tau=[1.0, 1.5, 2.5])
+
+
+class TestHalfTorusMatchesFullGrid:
+    """The half grids give the full grids' values, which the test evaluates itself."""
+
+    @pytest.mark.parametrize("make, g", [
+        (make_sys_a, None),
+        (make_sys_b, 41),
+        (lambda: random_stable_system(9), None),    # m = 1, nu = 2
+        (lambda: random_stable_system(14), 61),     # m = 1, nu = 2
+        (lambda: random_stable_system(10), 33),     # m = 2, nu = 2
+        (_three_delay_system, 17),                  # m = 3, nu = 2
+    ], ids=["SYS-A", "SYS-B-odd", "m1", "m1-odd", "m2-odd", "m3-odd"])
+    def test_values(self, make, g):
+        dec = decompose(make())
+        m = dec.m
+        res = strong_norm_Ta(dec, grid_per_dim=g)
+        g_sweep = res.diagnostics["grid_per_dim"]
+        sig, ok = sigma_Ta_torus_samples(dec, _full_torus_grid(m, g_sweep))
+        assert ok.all()
+        assert res.diagnostics["grid_max"] == pytest.approx(sig[:, 0].max(), rel=1e-14)
+
+        g_diff, g_odd = {1: 64, 2: 64, 3: 24}[m], g or 15
+        A0 = dec.A22[0].astype(complex)
+        for grid, gamma, smin in (
+            (g_diff, dec.gamma_a, dec.torus_sigma_min),
+            (g_odd, check_difference_stability(dec, grid_per_dim=g_odd),
+             _min_sigma(dec.A22, thetas=_torus_grid(m, g_odd))),
+        ):
+            full = _full_torus_grid(m, grid)
+            radii = _pencil_map(
+                lambda M: np.abs(np.linalg.eigvals(np.linalg.solve(-A0, M))).max(),
+                (np.zeros_like(A0),) + dec.A22[1:], thetas=full)
+            assert gamma == pytest.approx(max(radii), rel=1e-14)
+            assert smin == pytest.approx(_min_sigma(dec.A22, thetas=full), rel=1e-14)

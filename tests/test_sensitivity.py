@@ -8,7 +8,6 @@ from ddaenorm import (
     commensurate_approximation,
     decompose,
     eval_Ta,
-    rational_independence_probe,
     run_perturbation_study,
     sample_delays,
     strong_hinf_norm_T,
@@ -44,31 +43,6 @@ class TestCommensurateApproximation:
             a = eval_Ta(dec, w, tau_r)
             b = eval_Ta(dec, w + 2.0 * np.pi * 10, tau_r)
             assert np.abs(a - b).max() < 1e-10
-
-
-class TestRationalIndependenceProbe:
-    def test_dependent_pair(self):
-        res = rational_independence_probe([1.0, 2.0], 5)
-        assert res.verdict == "dependent"
-        assert res.witness == (2, -1)
-
-    def test_irrational_pair(self):
-        res = rational_independence_probe([1.0, np.sqrt(2.0)], 50)
-        assert res.verdict == "no-relation-found-up-to-cap"
-        assert res.witness is None
-        assert not res
-
-    def test_triple_with_relation(self):
-        res = rational_independence_probe([0.3, 0.6, 0.9], 5)
-        assert res.verdict == "dependent"
-        z = np.asarray(res.witness, dtype=float)
-        assert abs(np.dot(z, [0.3, 0.6, 0.9])) < 1e-9
-
-    def test_large_m_needs_override(self):
-        with pytest.raises(ValueError):
-            rational_independence_probe([1.0, 2.0, 3.0, 4.0], 3)
-        res = rational_independence_probe([1.0, 2.0, 3.0, 4.0], 3, allow_large=True)
-        assert res.verdict == "dependent"
 
 
 class TestSampling:

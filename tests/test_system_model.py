@@ -1,5 +1,9 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddaenorm import (
     AssumptionError,
@@ -12,6 +16,7 @@ from ddaenorm import (
     nullspace_bases,
     validate_system,
 )
+from ddaenorm.system_model import _torus_grid
 
 
 class TestNullspaceBases:
@@ -219,3 +224,37 @@ class TestDdaeSystemValidation:
     def test_matrices_are_frozen(self, sys_a):
         with pytest.raises(ValueError):
             sys_a.E[0, 0] = 5.0
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["ndarray", "list"])
+    @pytest.mark.parametrize("name", ["E", "A[0]", "A[1]", "B", "C", "tau"])
+    def test_complex_input_is_refused(self, name, as_list):
+        # Complex coefficients would break the conjugate symmetry the torus
+        # grids rely on; they are refused, never truncated to the real part.
+        args = {"E": [[1.0, 0.0], [0.0, 0.0]], "A[0]": [[0.0, 1.0], [-1.0, -1.0]],
+                "A[1]": [[0.0, 0.0], [0.0, 0.25]], "B": [0.0, 1.0], "C": [2.0, 1.0],
+                "tau": [1.0]}
+        value = np.array(args[name], dtype=complex)
+        value.flat[-1] += 0.3j  # e.g. A[1] = [[0, 0], [0, 0.25+0.3j]]
+        args[name] = value.tolist() if as_list else value
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be real")):
+            DdaeSystem(E=args["E"], A=(args["A[0]"], args["A[1]"]), B=args["B"],
+                       C=args["C"], tau=args["tau"])
+
+
+class TestTorusGrid:
+    """``_torus_grid`` keeps the lexicographically smaller point of each conjugate pair."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(m=st.integers(1, 4), g=st.integers(2, 12))
+    def test_half_of_the_full_grid(self, m, g):
+        thetas = _torus_grid(m, g)
+        k = np.rint(thetas * g / (2.0 * np.pi)).astype(int)
+        # Bit-identical to the points of the full grid.
+        np.testing.assert_array_equal(thetas, (2.0 * np.pi * np.arange(g) / g)[k])
+        rows = [tuple(r) for r in k.tolist()]
+        mirrors = [tuple((-np.array(r)) % g) for r in rows]
+        assert rows == sorted(set(rows))  # distinct, in lexicographic (C) order
+        assert all(r <= q for r, q in zip(rows, mirrors))
+        assert set(rows) | set(mirrors) == set(itertools.product(range(g), repeat=m))
+        expected = (g ** m + 2 ** m) // 2 if g % 2 == 0 else (g ** m + 1) // 2
+        assert len(rows) == expected
