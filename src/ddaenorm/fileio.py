@@ -12,6 +12,7 @@ an all-zero delayed block dropped together with its delay.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 import jsonschema
@@ -44,15 +45,20 @@ class SchemaError(DimensionError):
     """A file violates the system or interconnect schema."""
 
 
-def _schema(name: str) -> dict:
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """Validator of the packaged schema ``name``, checked against its metaschema once."""
     with resources.files("ddaenorm.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _validate(doc, schema_name: str):
-    try:
-        jsonschema.validate(doc, _schema(schema_name))
-    except jsonschema.ValidationError as exc:
+    """As ``jsonschema.validate``: the best-matching error is reported."""
+    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"{schema_name}: {exc.message} (at {path})") from exc
 

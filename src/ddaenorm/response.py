@@ -15,25 +15,31 @@ samples, the ``eval_*`` functions raise.  Grids are evaluated in chunks whose
 pencil stack fits ``_STACK_BYTES``, so memory stays bounded for any grid
 length and system size.
 
-No sample needs an SVD of the pencil.  The singularity test is read off the
-solve: the one solve against ``[B | r]``, with ``r`` a fixed probe vector,
-also gives a lower bound of the condition number, from the row norms of
-``M`` and the norm of ``M^{-1} r``.  It is one-sided:
-every flagged sample also fails the exact test
-``sigma_min(M) > RCOND_MIN * sigma_max(M)``, while a sample just below the
-threshold (``sigma_min / sigma_max`` roughly in ``(1e-16, 1e-14]``) may pass.
-Only a chunk whose LU factorisation meets an exactly zero pivot (numpy then
-rejects the whole stack), and a sample whose estimate overflows, fall back to
-the exact test from singular values.  Transfers with a single row or column
-reduce to a vector 2-norm and 2x2 transfers to a closed form; other shapes
-take an SVD of ``T``.
+No sample needs an SVD of the pencil.  Pencils with ``n <= 2`` (the paper's
+examples and their algebraic blocks) need no LAPACK call either: Cramer's
+rule gives ``T = C adj(M) B / det M``, where ``C adj(M) B`` is one product of
+the flattened stack with a cached map, and the exact test
+``sigma_min(M) > RCOND_MIN * sigma_max(M)`` follows from
+``sigma_1^2 + sigma_2^2 = ||M||_F^2`` and ``sigma_1 sigma_2 = |det M|``, with
+a small one-sided slack for roundoff.  A chunk with a sample whose squared
+norm could over- or underflow takes the SVD instead.  For ``n >= 3`` the
+singularity test is read off the solve: the one solve against ``[B | r]``,
+with ``r`` a fixed probe vector, also gives a lower bound of the condition
+number, from the row norms of ``M`` and the norm of ``M^{-1} r``.  It is
+one-sided: every flagged sample also fails the exact test, while a sample
+just below the threshold (``sigma_min / sigma_max`` roughly in
+``(1e-16, 1e-14]``) may pass.  Only a chunk whose LU factorisation meets an
+exactly zero pivot (numpy then rejects the whole stack), and a sample whose
+estimate over- or underflows, fall back to the exact test from singular
+values.  Transfers with a single row or column reduce to a vector 2-norm and
+2x2 transfers to a closed form; other shapes take an SVD of ``T``.
 
-All evaluations solve linear systems with partial pivoting; matrices are
-never inverted explicitly.  Since ``T(-j w)`` is the complex conjugate of
-``T(j w)``, singular value curves are even in ``w`` and sweeps cover
-``w >= 0`` only.  For the same reason (the coefficients are real) the torus
-function at ``-theta`` is the conjugate of its value at ``theta``, and the
-torus grids hold one point of each such pair.
+Pencils with ``n >= 3`` are solved with partial pivoting and never inverted
+explicitly; for ``n = 2`` Cramer's rule is forward stable.  Since
+``T(-j w)`` is the complex conjugate of ``T(j w)``, singular value curves are
+even in ``w`` and sweeps cover ``w >= 0`` only.  For the same reason (the
+coefficients are real) the torus function at ``-theta`` is the conjugate of
+its value at ``theta``, and the torus grids hold one point of each such pair.
 """
 
 from __future__ import annotations
@@ -63,10 +69,18 @@ __all__ = [
 ]
 
 # Reciprocal-condition threshold separating near-characteristic-root samples
-# from ordinary roundoff.  A sample is flagged when a lower bound of its
-# condition number reaches 1 / RCOND_MIN (see ``_transfer``), so a flagged
-# sample always has sigma_min <= RCOND_MIN * sigma_max.
+# from ordinary roundoff.  A sample with n >= 3 is flagged when a lower bound of
+# its condition number reaches 1 / RCOND_MIN (see ``_transfer``); one with
+# n <= 2 by the exact ratio, less a slack for its roundoff (``_CRAMER_RCOND``).
+# Either way a flagged sample has sigma_min <= RCOND_MIN * sigma_max.
 RCOND_MIN = 1e-14
+# The closed-form ratio of a 2x2 sample carries roundoff of a few eps.  Flagging
+# at 0.75 RCOND_MIN (a slack of about 11 eps) never flags a sample that the SVD
+# test passes.
+_CRAMER_RCOND = 0.75 * RCOND_MIN
+# Squared Frobenius norms for which no product of two entries of a 2x2 sample
+# over- or underflows; a chunk with a sample outside takes the SVD.
+_CRAMER_RANGE = (1e-290, 1e290)
 
 
 @dataclass(frozen=True)
@@ -116,12 +130,21 @@ def _svd_rcond(M) -> np.ndarray:
     return s[:, -1] / np.maximum(s[:, 0], 1e-300)
 
 
+def _exact_transfer(M, B, C):
+    """:func:`_transfer` decided by the exact ratio from singular values, then solved."""
+    rcond = _svd_rcond(M)
+    ok = rcond > RCOND_MIN
+    return C @ np.linalg.solve(M[ok], B[None]), ok, rcond
+
+
 def _transfer(M, B, C):
     """``C M^{-1} B`` at the samples of ``M`` that pass the singularity test.
 
-    One solve against ``[B | r]`` (``r`` the fixed probe) gives the transfer
-    and the estimate ``kappa = max_i ||e_i^T M|| * ||M^{-1} r|| / ||r||``.  Both
-    factors are lower bounds of ``||M||`` and ``||M^{-1}||``, so
+    Pencils with ``n <= 2`` take the closed form of :func:`_cramer`, decided
+    by the exact test.  Larger ones take one solve against ``[B | r]``
+    (``r`` the fixed probe), which gives the transfer and the estimate
+    ``kappa = max_i ||e_i^T M|| * ||M^{-1} r|| / ||r||``.  Both factors are
+    lower bounds of ``||M||`` and ``||M^{-1}||``, so
     ``kappa <= sigma_max / sigma_min``: a sample fails (``kappa >= 1 / RCOND_MIN``)
     only if it also fails ``sigma_min > RCOND_MIN * sigma_max``, while one with
     ``sigma_min / sigma_max`` slightly below the threshold may pass.  An
@@ -129,33 +152,91 @@ def _transfer(M, B, C):
     sample whose estimate is not finite, is decided by the exact ratio from
     its singular values instead.  Returns ``(T, ok, rcond)``: ``T`` stacks the
     passing samples only, ``ok`` flags them and ``rcond`` holds ``1 / kappa``
-    (or the exact ratio) per sample for error messages, or is None when every
-    sample passes.
+    or the exact ratio per sample for error messages (a flagged sample always
+    has its exact ratio at ``n <= 2``), or is None when every sample passes.
     """
     N, n, _ = M.shape
     p = B.shape[1]
     if n == 0:  # no states: the transfer is zero
         return np.zeros((N, C.shape[0], p), dtype=complex), np.ones(N, dtype=bool), None
+    if n <= 2:
+        return _cramer(M, B, C)
     R = _with_probe(B.shape, np.asarray(B, dtype=np.float64).tobytes())
     try:
         X = np.linalg.solve(M, R[None])
     except np.linalg.LinAlgError:  # an exactly zero pivot rejects the whole stack
-        rcond = _svd_rcond(M)
-        ok = rcond > RCOND_MIN
-        return C @ np.linalg.solve(M[ok], B[None]), ok, rcond
+        return _exact_transfer(M, B, C)
     V, W = M.view(np.float64), X.view(np.float64)[..., -2:]  # W: the probe's solution
-    kappa2 = np.maximum.reduce(np.einsum("kij,kij->ki", V, V), axis=1) * np.einsum(
-        "kij,kij->k", W, W) / n
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at extreme scales
+        kappa2 = np.maximum.reduce(np.einsum("kij,kij->ki", V, V), axis=1) * np.einsum(
+            "kij,kij->k", W, W) / n
     ok = kappa2 < RCOND_MIN ** -2
     rcond = None
     if np.count_nonzero(ok) < N:
         rcond = 1.0 / np.sqrt(kappa2)
-        inexact = ~np.isfinite(kappa2)  # the estimate overflowed
+        inexact = ~np.isfinite(kappa2)  # the estimate over- or underflowed
         if inexact.any():
             rcond[inexact] = _svd_rcond(M[inexact])
             ok[inexact] = rcond[inexact] > RCOND_MIN
         X = X[ok]  # keep the passing samples only
     return C @ X[..., :p], ok, rcond
+
+
+@lru_cache(maxsize=64)
+def _adjugate_map(b_shape, b_data, c_shape, c_data) -> np.ndarray:
+    """The linear map from ``M`` to ``C adj(M) B`` for ``n <= 2`` (see :func:`_cramer`).
+
+    For ``n = 2``, ``adj(M) = J M^T J^T`` with ``J`` the quarter turn
+    ``[[0, 1], [-1, 0]]``, so the entry ``M[l, k]`` contributes
+    ``(C J)[:, k] (J^T B)[l, :]``: row ``2 l + k`` of the returned
+    ``(4, p_out * p_in)`` map.  For ``n = 1`` the adjugate is 1 and the map is
+    ``C B`` itself.  The map is real but stored complex, so that no product
+    with a stack casts it.  Cached like :func:`_with_probe`.
+    """
+    B = np.frombuffer(b_data).reshape(b_shape)
+    C = np.frombuffer(c_data).reshape(c_shape)
+    if b_shape[0] == 1:
+        W = C @ B
+    else:
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        W = np.einsum("ik,lj->lkij", C @ J, J.T @ B).reshape(4, c_shape[0] * b_shape[1])
+    W = W.astype(complex)
+    W.flags.writeable = False
+    return W
+
+
+def _cramer(M, B, C):
+    """:func:`_transfer` for ``n <= 2`` by Cramer's rule, ``T = C adj(M) B / det(M)``.
+
+    A 2x2 sample is decided by the exact test: with ``F = ||M||_F^2``,
+    ``sigma_1^2 + sigma_2^2 = F`` and ``sigma_1 sigma_2 = |det M|``, so the
+    ratio ``r = sigma_2 / sigma_1`` solves ``|det M| / F = r / (1 + r^2)``, and
+    ``|det M| <= _CRAMER_RCOND * F`` flags the samples with
+    ``r <= _CRAMER_RCOND`` (``r^2`` is below roundoff there).  A 1x1 sample has
+    ``r = 1``.  A chunk with a sample whose ``F`` lies outside ``_CRAMER_RANGE``
+    (a product of two entries could over- or underflow) is decided and solved
+    by :func:`_exact_transfer` instead, as a chunk with an exactly zero pivot is
+    for ``n >= 3``.
+    """
+    N, n, _ = M.shape
+    V = M.reshape(N, n * n)
+    F = np.einsum("ki,ki->k", V.view(np.float64), V.view(np.float64))
+    lo, hi = _CRAMER_RANGE
+    if not (F.min(initial=lo) >= lo and F.max(initial=hi) <= hi):  # also NaN
+        return _exact_transfer(M, B, C)
+    W = _adjugate_map(B.shape, np.asarray(B, dtype=np.float64).tobytes(),
+                      C.shape, np.asarray(C, dtype=np.float64).tobytes())
+    if n == 1:
+        return W / V[:, :, None], np.ones(N, dtype=bool), None
+    det = V[:, 0] * V[:, 3] - V[:, 1] * V[:, 2]
+    q = np.abs(det)
+    ok = q > _CRAMER_RCOND * F
+    rcond = None
+    if not ok.all():
+        q /= F  # r = 2 q / (1 + sqrt(1 - 4 q^2)), clipped against roundoff at q = 1/2
+        rcond = 2.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q * q, 0.0)))
+        V, det = V[ok], det[ok]
+    return (V @ W / det[:, None]).reshape(len(V), C.shape[0], B.shape[1]), ok, rcond
 
 
 def _sigma_2x2(T) -> np.ndarray:

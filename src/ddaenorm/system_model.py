@@ -46,11 +46,11 @@ _STACK_BYTES = 8 << 20
 
 
 def _as_real(x, name) -> np.ndarray:
-    """``x`` as a float array; complex input is refused, never truncated."""
+    """A float copy of ``x``; complex input is refused, never truncated."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError(f"{name} must be real")
-    return x.astype(float, copy=False)
+    return x.astype(float)
 
 
 def _as_matrix(M, name):
@@ -76,7 +76,9 @@ def _sigma_min(M):
 class DdaeSystem:
     """Immutable delay differential algebraic system with real coefficients.
 
-    Complex input is refused with a ``ValueError`` naming the argument.
+    The system holds read-only float copies of its inputs, so the caller's
+    arrays stay writeable and later writes to them do not reach it.  Complex
+    input is refused with a ``ValueError`` naming the argument.
 
     Parameters
     ----------

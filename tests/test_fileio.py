@@ -105,6 +105,21 @@ class TestSystemFiles:
         np.testing.assert_array_equal(sys.A[0], np.add(doc["A"][0], doc["A"][1]))
         np.testing.assert_array_equal(sys.A[1], doc["A"][2])
 
+    def test_schema_is_checked_once(self, tmp_path, monkeypatch):
+        import jsonschema
+        from ddaenorm import fileio
+        path = tmp_path / "sys.json"
+        save_system(make_sys_a(), path)
+        cls = jsonschema.validators.validator_for(fileio._validator("system.schema.json").schema)
+        calls = []
+        check = cls.check_schema
+        monkeypatch.setattr(cls, "check_schema",
+                            classmethod(lambda c, schema, **kw: calls.append(1) or check(schema)))
+        fileio._validator.cache_clear()
+        load_system(path)
+        load_system(path)
+        assert calls == [1]
+
     def test_not_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

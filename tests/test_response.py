@@ -11,6 +11,8 @@ from ddaenorm import (
     eval_T,
     eval_Ta,
     eval_Ta_torus,
+    hinf_norm_T,
+    strong_norm_Ta,
     sweep,
 )
 from conftest import formula_T, make_sys_a
@@ -395,17 +397,45 @@ class TestSingularityRule:
         if n > 1:
             assert (ratio <= 1e-16).sum() > 50  # the stack does reach that range
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_matches_svd_test(self, n, monkeypatch):
+        # n <= 2 is decided by the exact ratio, without an SVD, with a
+        # one-sided slack of RCOND_MIN / 4 against its roundoff; outside that
+        # window the decision is the SVD test's
+        from ddaenorm.response import RCOND_MIN, _transfer
+        calls = count_svd(monkeypatch)
+        for seed in range(20):
+            rng = np.random.default_rng(200 + 20 * n + seed)
+            M = near_singular_stack(rng, n, 2000) * 10.0 ** rng.uniform(-100.0, 100.0,
+                                                                         (2000, 1, 1))
+            exact, ratio = svd_ok(M)
+            before = calls[0]
+            _, ok, _ = _transfer(M, rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
+            assert calls[0] == before
+            assert not (exact & ~ok).any()
+            outside = (ratio <= RCOND_MIN / 2) | exact
+            np.testing.assert_array_equal(ok[outside], exact[outside])
+
     def test_exact_zero_pivot_falls_back_to_svd(self, monkeypatch):
         # numpy rejects a stack with an exactly singular matrix as a whole
+        from ddaenorm.response import _transfer
+        calls = count_svd(monkeypatch)
+        M = np.array([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)], dtype=complex)
+        T, ok, rcond = _transfer(M, np.eye(3), np.eye(3))
+        np.testing.assert_array_equal(ok, [True, False, True])
+        assert rcond[1] == 0.0 and calls == [1]
+        np.testing.assert_allclose(T, [np.eye(3), 0.5 * np.eye(3)], rtol=1e-15)
+
+    def test_closed_form_flags_exact_zero_without_svd(self, monkeypatch):
         from ddaenorm.response import _transfer
         calls = count_svd(monkeypatch)
         M = np.array([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)], dtype=complex)
         T, ok, rcond = _transfer(M, np.eye(2), np.eye(2))
         np.testing.assert_array_equal(ok, [True, False, True])
-        assert rcond[1] == 0.0 and calls == [1]
+        assert rcond[1] == 0.0 and calls == [0]
         np.testing.assert_allclose(T, [np.eye(2), 0.5 * np.eye(2)], rtol=1e-15)
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e-200, 1e200])
     def test_extreme_scaling_is_decided_exactly(self, scale, monkeypatch):
         # the squared norms of the estimate under- or overflow; the SVD test
         # passes these well-conditioned samples, so they must pass here too
@@ -415,6 +445,25 @@ class TestSingularityRule:
         calls = count_svd(monkeypatch)
         _, ok, _ = _transfer(M.astype(complex), np.ones((3, 1)), np.ones((1, 3)))
         assert ok.all() and calls == [1]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150, 1e150, 1e160, 1e200])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_extreme_scaling_is_decided_exactly(self, n, scale):
+        # products of entries under- or overflow: a stack with such samples,
+        # mixed here with samples of ordinary scale, takes the SVD and a solve
+        from ddaenorm.response import _transfer
+        rng = np.random.default_rng(112)
+        M = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        M += 4.0 * np.eye(n)
+        M[1::2] *= scale
+        M[3, -1] = M[3, 0]  # singular at any scale
+        B, C = rng.standard_normal((n, 2)), rng.standard_normal((2, n))
+        T, ok, rcond = _transfer(M, B, C)
+        np.testing.assert_array_equal(ok, [True, True, True, n == 1, True, True])
+        if n == 2:
+            assert rcond[3] <= 1e-16
+        want = C @ np.linalg.solve(M[ok], B[None])
+        np.testing.assert_allclose(T, want, rtol=1e-13)
 
     def test_message_reports_the_estimate(self):
         from ddaenorm.response import RCOND_MIN
@@ -485,6 +534,28 @@ class TestSvdFreeHotPath:
         sigma_Ta_torus_samples(dec, np.random.default_rng(132).uniform(0.0, 6.3, (1000, 2)))
         assert ok.all() and sig.shape == (1000, 2)
         assert calls == [0]
+
+    @pytest.mark.parametrize("run", [
+        lambda s, dec: hinf_norm_T(s, dec),
+        lambda s, dec: strong_norm_Ta(dec),
+    ], ids=["hinf_norm_T", "strong_norm_Ta"])
+    def test_sys_a_norms_take_no_lapack_per_sample(self, run, monkeypatch):
+        # n <= 2 pencils are solved in closed form; the memoised grids of the
+        # decomposition are computed before counting
+        s = make_sys_a((0.999, 2.0))
+        dec = decompose(s)
+        dec.gamma_a, dec.torus_sigma_min
+        calls = {}
+        for name in ("solve", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                if np.ndim(a) == 3:  # a stack of samples, not a block norm
+                    calls[_name] = calls.get(_name, 0) + 1
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run(s, dec)
+        assert calls == {}
 
     def test_three_by_two_output_takes_one_svd_per_chunk(self, monkeypatch):
         from ddaenorm import system_model

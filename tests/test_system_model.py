@@ -225,6 +225,21 @@ class TestDdaeSystemValidation:
         with pytest.raises(ValueError):
             sys_a.E[0, 0] = 5.0
 
+    def test_caller_arrays_are_copied(self):
+        # the system freezes its own copies: the caller's arrays stay
+        # writeable, and writing to them leaves the system unchanged
+        E, A0, A1 = np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [-1.0, -1.0]]), 0.25 * np.eye(2)
+        B, C, tau = np.array([0.0, 1.0]), np.array([[2.0, 1.0]]), np.array([1.0])
+        sys = DdaeSystem(E=E, A=(A0, A1), B=B, C=C, tau=tau)
+        before = [a.copy() for a in (sys.E, *sys.A, sys.B, sys.C, sys.tau)]
+        for a in (E, A0, A1, B, C, tau):
+            assert a.flags.writeable
+            a[...] = 7.0
+        assert sys.E is not E
+        for got, want in zip((sys.E, *sys.A, sys.B, sys.C, sys.tau), before):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
     @pytest.mark.parametrize("as_list", [False, True], ids=["ndarray", "list"])
     @pytest.mark.parametrize("name", ["E", "A[0]", "A[1]", "B", "C", "tau"])
     def test_complex_input_is_refused(self, name, as_list):
