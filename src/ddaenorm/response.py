@@ -13,7 +13,11 @@ algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
 ``_transfer`` is the one singularity test and solve; samplers flag singular
 samples, the ``eval_*`` functions raise.  Grids are evaluated in chunks whose
 pencil stack fits ``_STACK_BYTES``, so memory stays bounded for any grid
-length and system size.
+length and system size.  Each chunk is one stacked product: the real rows
+``[1, cos theta_i, w, sin theta_i]`` times a real map of the coefficients,
+built once per call, written straight into the float64 view of the complex
+stack, with no stack-sized temporary.  The product is the same small one for
+every sample, so results do not depend on where the chunks split.
 
 No sample needs an SVD of the pencil.  Pencils with ``n <= 2`` (the paper's
 examples and their algebraic blocks) need no LAPACK call either: Cramer's

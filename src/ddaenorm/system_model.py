@@ -350,11 +350,15 @@ def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None, rhs=0) -> 
     Sample ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
     ``theta_k = omegas[k] * tau`` on the frequency axis, else ``thetas[k]`` on
     the torus; ``lam_k = 1j*omegas[k]``, and without ``E`` the term is dropped
-    (the torus matrix of the algebraic block).  Each chunk's stack, together
-    with the ``rhs`` solution columns per sample that ``fn`` allocates, holds
-    at most ``_STACK_BYTES`` (and at least one sample), so memory stays
-    bounded however long the grid.  Returns the ``fn`` results in sample order.
+    (the torus matrix of the algebraic block).  The coefficients must be real:
+    a complex one with a nonzero imaginary part raises ``ValueError``.  Each
+    chunk's stack, together with the ``rhs`` solution columns per sample that
+    ``fn`` allocates, holds at most ``_STACK_BYTES`` (and at least one sample),
+    so memory stays bounded however long the grid.  Every chunk is one product
+    with the real map of :func:`_pencil_basis`, built once per call (see
+    :func:`_pencil_stack`).  Returns the ``fn`` results in sample order.
     """
+    A = tuple(_real_coefficient(Ai) for Ai in A)
     n = A[0].shape[0]
     count = len(thetas) if omegas is None else len(omegas)
     if count == 1:  # a search step with one open bracket: scalar phases beat a one-deep stack
@@ -362,28 +366,64 @@ def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None, rhs=0) -> 
         for i, t in enumerate((thetas[0] if omegas is None else omegas[0] * tau).tolist(), 1):
             M -= cmath.exp(-1j * t) * A[i]
         return [fn(M[None])]
+    S = _pencil_basis(A, None if E is None else _real_coefficient(E))
     step = max(_STACK_BYTES // (16 * max(n * (n + rhs), 1)), 1)
     out = []
     for lo in range(0, max(count, 1), step):
         sl = slice(lo, lo + step)
         if omegas is None:
-            out.append(fn(_pencil_stack(A, None, None, thetas[sl])))
+            out.append(fn(_pencil_stack(S, n, None, thetas[sl])))
         else:
-            out.append(fn(_pencil_stack(A, E, omegas[sl], omegas[sl, None] * tau)))
+            w = None if E is None else omegas[sl]
+            out.append(fn(_pencil_stack(S, n, w, omegas[sl, None] * tau)))
     return out
 
 
-def _pencil_stack(A, E, omegas, theta) -> np.ndarray:
-    """One chunk of :func:`_pencil_map`; its phase temporaries are freed before ``fn`` runs."""
-    n = A[0].shape[0]
-    phases = np.exp(-1j * theta)[:, :, None, None]
-    if E is None:
-        M = np.zeros((len(theta), n, n), dtype=complex)
-    else:
-        M = 1j * omegas[:, None, None] * E
-    M -= A[0]
-    for i in range(1, len(A)):
-        M -= phases[:, i - 1] * A[i]
+def _real_coefficient(M) -> np.ndarray:
+    """``M`` itself, or the real part of a complex ``M`` whose imaginary part is zero."""
+    if M.dtype.kind != "c":
+        return M
+    if M.imag.any():
+        raise ValueError("pencil coefficients must be real")
+    return M.real
+
+
+def _pencil_basis(A, E) -> np.ndarray:
+    """The real ``(K, 2 n^2)`` map of :func:`_pencil_stack`.
+
+    ``-A[0]`` and ``-A[1..m]`` fill the even (real-part) columns of the first
+    ``m + 1`` rows; ``E`` (when given) and ``A[1..m]`` the odd (imaginary-part)
+    columns of the others, so that the coefficient row
+    ``[1, cos theta_1..m, omega, sin theta_1..m]`` maps to the float64 view of
+    ``j omega E - A[0] - sum_i A[i] e^{-j theta_i}``.
+    """
+    imag = A[1:] if E is None else (E, *A[1:])
+    S = np.zeros((len(A) + len(imag), *A[0].shape, 2))
+    for k, Ak in enumerate(A):
+        S[k, ..., 0] = -Ak
+    for k, Mk in enumerate(imag, len(A)):
+        S[k, ..., 1] = Mk
+    return S.reshape(len(S), -1)
+
+
+def _pencil_stack(S, n, omegas, theta) -> np.ndarray:
+    """One chunk of :func:`_pencil_map`: one stacked product with the map ``S``.
+
+    The ``(N, 1, K)`` coefficient rows times ``S`` are written straight into
+    the float64 view of the complex stack, with no stack-sized temporary.  The
+    stacked form makes the same small product for every sample, where a 2-D
+    product of a one-row chunk would take another BLAS routine, so results do
+    not depend on where the chunks split.
+    """
+    N, m = theta.shape
+    X = np.empty((N, len(S)))
+    X[:, 0] = 1.0
+    np.cos(theta, out=X[:, 1:m + 1])
+    if omegas is not None:
+        X[:, m + 1] = omegas
+    np.sin(theta, out=X[:, len(S) - m:])
+    M = np.empty((N, n, n), dtype=complex)
+    np.matmul(X[:, None], S, out=M.reshape(N, 1, n * n).view(np.float64))
     return M
 
 
@@ -426,10 +466,12 @@ def _difference_radius(dec: BlockDecomposition, g: int) -> float:
         return 0.0
     if g < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    # The pencil with a zero A22[0] is -sum_{i>=1} A22[i] e^{-j theta_i}.
-    A0 = dec.A22[0].astype(complex)
-    radii = _pencil_map(lambda M: np.abs(np.linalg.eigvals(np.linalg.solve(-A0, M))).max(),
-                        (np.zeros_like(A0),) + dec.A22[1:], thetas=_torus_grid(dec.m, g))
+    # With a zero constant term and the delay terms F_i = -A22[0]^{-1} A22[i],
+    # solved once, the pencil is A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}.
+    A0 = dec.A22[0]
+    F = tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
+    radii = _pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(),
+                        (np.zeros_like(A0),) + F, thetas=_torus_grid(dec.m, g))
     return float(max(radii))
 
 
@@ -438,10 +480,17 @@ def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, 
     ``sigma_min(j*omega*E - A_0 - sum A_i e^{-j*omega*tau_i})``.
 
     A small value flags a characteristic root close to the scanned part of the
-    imaginary axis; a comfortable margin proves nothing by itself.
+    imaginary axis; a comfortable margin proves nothing by itself.  The grid
+    has ``count >= 1`` points on ``[0, omega_max]``, with ``omega_max`` finite
+    and nonnegative; other values raise ``ValueError``.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    omega_max = float(omega_max)
+    if not (math.isfinite(omega_max) and omega_max >= 0.0):
+        raise ValueError(f"omega_max must be finite and nonnegative, got {omega_max}")
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
-    omegas = np.linspace(0.0, float(omega_max), count)
+    omegas = np.linspace(0.0, omega_max, count)
     return _min_sigma(sys.A, E=sys.E, omegas=omegas, tau=tau)
 
 

@@ -54,6 +54,11 @@ class TestCheck:
         path.write_text(json.dumps({"n": 1}))
         assert main(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_invalid_axis_scan_exit_1(self, sys_a_file, capsys, value):
+        assert main(["check", sys_a_file, f"--axis-scan={value}"]) == 1
+        assert "omega_max must be finite and nonnegative" in capsys.readouterr().err
+
     def test_json_report(self, sys_a_file, capsys):
         assert main(["check", sys_a_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

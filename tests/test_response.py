@@ -353,6 +353,73 @@ class TestPencilKernel:
         np.testing.assert_allclose(sig, want, rtol=1e-14)
 
 
+def pencil_stacks(A, **samples):
+    """Every stack ``_pencil_map`` assembles for these samples, in sample order."""
+    from ddaenorm.system_model import _pencil_map
+    return np.concatenate(_pencil_map(lambda M: M.copy(), A, **samples))
+
+
+def assembly_cases(rng, n, m, count):
+    """Random ``A`` and ``(samples, want)`` for the frequency axis with and
+    without ``E`` and the torus, ``want`` from ``1j*w*E - A0 - sum A_i exp(-1j*theta_i)``."""
+    A = tuple(rng.standard_normal((n, n)) for _ in range(m + 1))
+    E = rng.standard_normal((n, n))
+    omegas = np.linspace(0.0, 40.0, count) if count > 1 else np.array([7.3])
+    tau = rng.uniform(0.5, 3.0, m)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (count, m))
+
+    def direct(lam, theta):
+        return np.array([l * E - A[0] - sum(
+            Ai * np.exp(-1j * t) for Ai, t in zip(A[1:], row)) for l, row in zip(lam, theta)])
+
+    axis = np.outer(omegas, tau)
+    return A, [
+        ({"E": E, "omegas": omegas, "tau": tau}, direct(1j * omegas, axis)),
+        ({"omegas": omegas, "tau": tau}, direct(np.zeros(count), axis)),
+        ({"thetas": thetas}, direct(np.zeros(count), thetas)),
+    ]
+
+
+class TestPencilAssembly:
+    """``_pencil_map`` against the direct formula, and its chunking."""
+
+    @pytest.mark.parametrize("count", [1, 29])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_matches_direct_formula(self, n, m, count):
+        rng = np.random.default_rng(1000 * n + 10 * m + count)
+        A, cases = assembly_cases(rng, n, m, count)
+        for samples, want in cases:
+            got = pencil_stacks(A, **samples)
+            assert got.shape == want.shape
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert (err <= 1e-15 * np.abs(want).max(axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_one_sample_chunks_match_one_whole_chunk(self, m, monkeypatch):
+        from ddaenorm import system_model
+        rng = np.random.default_rng(31 + m)
+        A, cases = assembly_cases(rng, 40, m, 37)
+        whole = [pencil_stacks(A, **samples) for samples, _ in cases]
+        monkeypatch.setattr(system_model, "_STACK_BYTES", 1)
+        for (samples, _), stack in zip(cases, whole, strict=True):
+            np.testing.assert_array_equal(pencil_stacks(A, **samples), stack)
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_complex_coefficients(self, count):
+        from ddaenorm.system_model import _pencil_map
+        rng = np.random.default_rng(33)
+        A, cases = assembly_cases(rng, 3, 2, count)
+        samples = cases[2][0]  # the torus
+        # a complex dtype with a zero imaginary part is the real matrix
+        zero_imag = (A[0].astype(complex), *A[1:])
+        np.testing.assert_array_equal(pencil_stacks(zero_imag, **samples),
+                                      pencil_stacks(A, **samples))
+        nonreal = (A[0], A[1] + 1e-3j * A[1], A[2])
+        with pytest.raises(ValueError, match="real"):
+            _pencil_map(lambda M: M, nonreal, **samples)
+
+
 def near_singular_stack(rng, n, count):
     """Stack ``U diag(sigma) V^H`` whose sigma_min / sigma_max spans 1e-22 .. 1e-8."""
     def unitary():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -206,6 +207,23 @@ class TestImaginaryAxisMargin:
         )
         got = imaginary_axis_margin(sys_a, 20.0, count=201, tau=tau)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("omega_max, count, name", [
+        (20.0, 0, "count"),
+        (20.0, -3, "count"),
+        (math.nan, 201, "omega_max"),
+        (math.inf, 201, "omega_max"),
+        (-5.0, 201, "omega_max"),
+    ])
+    def test_invalid_grid_rejected(self, sys_a, omega_max, count, name):
+        with pytest.raises(ValueError, match=name):
+            imaginary_axis_margin(sys_a, omega_max, count=count)
+
+    def test_one_point_grid_is_omega_zero(self, sys_a):
+        want = np.linalg.svd(-sum(sys_a.A), compute_uv=False)[-1]
+        for omega_max, count in ((0.0, 5), (20.0, 1)):
+            got = imaginary_axis_margin(sys_a, omega_max, count=count)
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestDdaeSystemValidation:
