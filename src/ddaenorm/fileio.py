@@ -56,11 +56,42 @@ def _validator(name: str):
 
 
 def _validate(doc, schema_name: str):
-    """As ``jsonschema.validate``: the best-matching error is reported."""
-    exc = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    """As ``jsonschema.validate``: the best-matching error is reported.
+
+    Walking every number of a large matrix through jsonschema is slow, so the
+    schema first checks a skeleton of ``doc`` in which each matrix that passes
+    :func:`_is_matrix` is replaced by ``[[0.0]]``.  Such a matrix is valid
+    wherever the schemas allow a matrix or anything at all, and invalid
+    wherever they do not, as ``[[0.0]]`` is, so the skeleton is valid exactly
+    when ``doc`` is.  Only an invalid skeleton sends ``doc`` itself through the
+    schema, which gives the message.
+    """
+    validator = _validator(schema_name)
+    if validator.is_valid(_skeleton(doc)):
+        return
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"{schema_name}: {exc.message} (at {path})") from exc
+
+
+def _skeleton(node):
+    """``node`` with every list that passes :func:`_is_matrix` replaced by ``[[0.0]]``."""
+    if isinstance(node, dict):
+        return {k: _skeleton(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [[0.0]] if _is_matrix(node) else [_skeleton(v) for v in node]
+    return node
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _is_matrix(rows) -> bool:
+    """A non-empty list of equal-length, non-empty lists of ``int`` or ``float`` (not ``bool``)."""
+    width = len(rows[0]) if rows and type(rows[0]) is list else 0
+    return width > 0 and all(
+        type(r) is list and len(r) == width and set(map(type, r)) <= _NUMBER_TYPES for r in rows)
 
 
 def system_from_dict(doc: dict) -> DdaeSystem:

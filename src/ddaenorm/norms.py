@@ -40,8 +40,11 @@ from .response import (
     sigma_Ta_torus_samples,
 )
 from .system_model import (
+    _ROUNDING_SLACK,
+    _UNDERFLOW,
     BlockDecomposition,
     DdaeSystem,
+    _pencil_map,
     _resolve_tau,
     _sigma_min,
     _spectral_norm,
@@ -76,6 +79,11 @@ _MAX_LEVEL_ITER = 40
 _MAX_DENSIFY = 3
 # Inflation of the torus resolvent estimate in the high-frequency envelope.
 _BOUND_SAFETY = 2.0
+# The strong-norm sweep skips cells of _CELL grid steps per dimension that
+# cannot hold its maximum (see _sweep_rows), on grids with m >= 2 delays and at
+# least _PRUNE_MIN_G points per dimension; coarser grids are swept whole.
+_CELL = 8
+_PRUNE_MIN_G = 16 * _CELL
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,111 @@ def _sigma1(sample, system, points, *args) -> np.ndarray:
     return np.where(ok, sig[:, 0], -np.inf)
 
 
+def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
+    """The rows of ``_torus_grid(dec.m, g)`` that may hold the sweep's maximum.
+
+    Returns the half-grid rows, in their order, whose computed ``sigma_1`` may
+    reach the largest one, so that the grid maximum, its first occurrence and
+    the first singular row are those of the whole grid, bit for bit.  Grids
+    with ``m < 2`` or ``g < _PRUNE_MIN_G`` are returned whole.
+
+    Cells of ``_CELL`` grid steps per dimension cover the full grid, each with
+    a grid point ``c`` at its centre and every point within ``r_i`` steps of
+    ``h = 2 pi / g`` in dimension ``i``; only cells that hold half-grid rows
+    are used.  Norms are spectral norms, bounded by Frobenius norms where
+    marked ``_F``.  The torus matrix ``M`` satisfies ``||M(theta) - M(c)|| <=
+    delta = h sum_i r_i ||A22[i]||``, since ``|e^{-j theta} - e^{-j c}| <=
+    |theta - c|``.  With ``G = ||M(c)^{-1}||_F`` and ``q = delta G <= 1/2``, the
+    Neumann series gives, on every point of the cell,
+
+        ``sigma_1(T(theta)) <= sigma_1(T(c)) + ||C2 M(c)^{-1}||_F delta
+        ||M(c)^{-1} B2||_F / (1 - q)``,
+
+    and ``kappa = a G / (1 - q)``, with ``a = sum_{i>=0} ||A22[i]|| >= ||M||``,
+    bounds the condition number of ``M``.  ``sigma_1(T(c))`` is the sampler's
+    value; the norms come from one batched ``inv``.  A cell is skipped when
+    ``q <= 1/2``, ``u kappa <= 1e-3`` (``u = _ROUNDING_SLACK (n + m) eps``) and
+    its bound plus twice the rounding slack and ``_UNDERFLOW`` lies below ``t``,
+    the largest centre value on a half-grid row.  ``t`` is a value the sweep
+    computes, so every skipped row computes below the sweep's maximum.
+
+    Rounding.  A computed ``sigma_1`` is the exact one of a pencil perturbed by
+    the assembly (``(2 m + 2) eps`` times the entries' sums) and by the
+    solve's backward error (``p(n) eps ||M||``, ``p(n)`` a modest multiple of
+    ``n``, as partial pivoting's growth factor is in practice), plus the
+    roundoff of ``C2 X`` and of the singular values: at most ``u a
+    ||C2||_F ||B2||_F ||M(theta)^{-1}||^2``, the slack, on every point of the
+    cell.  Twice the slack covers the centre's value and the skipped row's.  The
+    centre's norms come from a computed inverse, off by at most ``u kappa <=
+    1e-3`` relative, and ``delta`` from rounded grid points: a factor 1.01 on
+    ``delta`` and on the three norms covers both.  ``_UNDERFLOW`` covers
+    squares of tiny entries that underflow in the sampler's singular values.
+
+    Singular rows.  ``u kappa <= 1e-3`` puts ``kappa`` below ``2.5e10``, far
+    below ``1 / RCOND_MIN``, so no row of a skipped cell can be flagged (the
+    sampler's test is one-sided) and the first flagged row of the sweep is the
+    whole grid's.  A cell whose centre is flagged is never skipped.
+    """
+    m = dec.m
+    if m < 2 or g < _PRUNE_MIN_G:
+        return _torus_grid(m, g)
+    theta = 2.0 * np.pi * np.arange(g) / g
+    lo = np.arange(0, g, _CELL)  # each block of _CELL indices per dimension
+    size = np.minimum(lo + _CELL, g) - lo
+    centre, radius = lo + size // 2, size // 2
+    nb, nb0 = lo.size, g // 2 // _CELL + 1  # blocks; leading blocks holding half-grid rows
+    blocks = np.stack(np.meshgrid(np.arange(nb0), *[np.arange(nb)] * (m - 1), indexing="ij"),
+                      axis=-1).reshape(-1, m)
+    index = centre[blocks]
+    # The rows of _torus_grid: the first coordinate that is not its own mirror
+    # lies in (0, pi), or every coordinate is its own mirror.
+    i = np.arange(g)
+    low, own = (0 < 2 * i) & (2 * i < g), (i == 0) | (2 * i == g)
+    half = np.ones((), dtype=bool)
+    for _ in range(m):
+        half = low.reshape(-1, *[1] * half.ndim) | (own.reshape(-1, *[1] * half.ndim) & half)
+    centres = theta[index]
+    sig, ok = sigma_Ta_torus_samples(dec, centres)
+    value = sig[:, 0]  # NaN where flagged
+    t = np.max(value[half[tuple(index.T)] & ok], initial=-np.inf)
+
+    n, B2, C2 = dec.nu, dec.B2, dec.C2
+    inv_norms = np.full((len(centres), 3), np.nan)
+    try:
+        inv_norms[ok] = np.concatenate(_pencil_map(
+            lambda M: _inverse_norms(M, B2, C2), dec.A22, thetas=centres[ok],
+            rhs=n + B2.shape[1] + C2.shape[0]))
+    except np.linalg.LinAlgError:  # an exactly singular pivot where the sampler saw none
+        return _torus_grid(m, g)
+    a = np.array([_spectral_norm(Ai) for Ai in dec.A22])
+    c2, b2 = _frobenius(C2[None])[0], _frobenius(B2[None])[0]
+    u = _ROUNDING_SLACK * (n + m) * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = 1.01 * (2.0 * np.pi / g) * (radius[blocks] @ a[1:])
+        ginv, cg, gb = 1.01 * inv_norms.T
+        q = delta * ginv
+        G = ginv / (1.0 - q)
+        kappa = a.sum() * G
+        bound = (value + cg * delta * gb / (1.0 - q)
+                 + 2.0 * u * kappa * c2 * G * b2 + _UNDERFLOW)
+        skip = (q <= 0.5) & (u * kappa <= 1e-3) & (bound < t)
+    keep = (~skip).reshape(nb0, *[nb] * (m - 1))
+    cell = np.arange(g) // _CELL
+    rows = half & keep[np.ix_(np.minimum(cell, nb0 - 1), *[cell] * (m - 1))]
+    return np.stack([theta[i] for i in np.nonzero(rows)], axis=1)
+
+
+def _frobenius(X) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, without underflow or overflow in squares."""
+    return np.hypot.reduce(np.abs(X).reshape(len(X), -1), axis=1, initial=0.0)
+
+
+def _inverse_norms(M, B, C) -> np.ndarray:
+    """``||M^{-1}||_F``, ``||C M^{-1}||_F`` and ``||M^{-1} B||_F`` per sample."""
+    G = np.linalg.inv(M)
+    return np.stack([_frobenius(G), _frobenius(C @ G), _frobenius(G @ B)], axis=1)
+
+
 def strong_norm_Ta(
     dec: BlockDecomposition,
     grid_per_dim: int | None = None,
@@ -212,7 +325,11 @@ def strong_norm_Ta(
     at ``theta`` and ``-theta``, the grid holds one point of each such pair,
     the lexicographically smaller (about half the points).  Grid points
     tie-break to the lexicographically smallest torus point, as on the full
-    grid.
+    grid.  On grids with m >= 2 and at least 128 points per dimension, the
+    sweep skips the rows that a cell bound (:func:`_sweep_rows`) proves to
+    compute below the grid maximum; the grid maximum, its location, the first
+    singular torus matrix and so the whole result are those of the whole grid,
+    bit for bit.  ``diagnostics["grid_points"]`` counts the rows swept.
 
     Raises
     ------
@@ -245,7 +362,7 @@ def strong_norm_Ta(
     g = grid_per_dim if grid_per_dim is not None else _default_torus_points(m)
     if g < 2:
         raise ValueError("grid_per_dim must be at least 2")
-    thetas = _torus_grid(m, g)
+    thetas = _sweep_rows(dec, g)
     sig, ok = sigma_Ta_torus_samples(dec, thetas)
     if not ok.all():
         j = int(np.argmax(~ok))
@@ -284,6 +401,7 @@ def strong_norm_Ta(
         rel_tol=1e-12,
         diagnostics={
             "grid_per_dim": g,
+            "grid_points": len(thetas),
             "grid_max": grid_max,
             "refine_cycles": cycles,
             "gamma_a": gamma_a,

@@ -43,6 +43,15 @@ DEFAULT_ASSUMPTION_TOL = 1e-10
 # samples of a bare 2x2 pencil); on 2x2 to 40x40 pencils larger budgets ran no
 # faster and took 2-3x the memory.
 _STACK_BYTES = 8 << 20
+# Pruned grids (gamma_a here, the strong-norm sweep in ``norms``): the multiple of
+# ``n eps`` (times the problem's scale) that covers the rounding of one computed
+# sample, and an absolute floor that covers underflow in sums of squares.
+_ROUNDING_SLACK = 64.0
+_UNDERFLOW = 1e-150
+# Samples per ``eigvals`` call of the pruned gamma_a grid, and at most per part
+# of its bound pass.
+_EIG_BATCH = 64
+_BOUND_PART = 256
 
 
 def _as_real(x, name) -> np.ndarray:
@@ -445,7 +454,10 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
 
     The grid estimate is monotone nondecreasing under refinement by doubling:
     the grid keeps one point of each conjugate pair (:func:`_torus_grid`), and
-    the pair of every coarse point lies in the doubled grid.
+    the pair of every coarse point lies in the doubled grid.  Only the samples
+    whose Gelfand bound ``||F^8||^(1/8)`` (plus a rounding slack) exceeds the
+    largest radius found are decomposed, so the value is the whole grid's,
+    bit for bit, at a fraction of the ``eigvals`` calls.
     """
     if dec.m == 0:
         return 0.0
@@ -453,7 +465,17 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
 
 
 def _difference_radius(dec: BlockDecomposition, g: int) -> float:
-    """gamma_a on a ``g``-point-per-dimension grid, after Assumption 1."""
+    """gamma_a on a ``g``-point-per-dimension grid, after Assumption 1.
+
+    The value is the largest ``eigvals`` radius over the grid, but only the
+    samples that may hold it are decomposed.  A first pass keeps one scalar
+    per sample, the bound :func:`_radius_bound` of the radius ``eigvals``
+    computes there.  ``eigvals`` then runs on batches of ``_EIG_BATCH`` samples
+    in decreasing order of that bound and stops once the next bound is at most
+    the best radius found: no sample left can exceed it, so the result is the
+    whole grid's maximum, bit for bit.  The samples of a batch are assembled
+    again, which repeats the first pass's sums exactly.
+    """
     if dec.nu == 0:
         return 0.0
     ok, margin = check_assumption1(dec)
@@ -469,10 +491,59 @@ def _difference_radius(dec: BlockDecomposition, g: int) -> float:
     # With a zero constant term and the delay terms F_i = -A22[0]^{-1} A22[i],
     # solved once, the pencil is A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}.
     A0 = dec.A22[0]
-    F = tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
-    radii = _pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(),
-                        (np.zeros_like(A0),) + F, thetas=_torus_grid(dec.m, g))
-    return float(max(radii))
+    A = (np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
+    thetas = _torus_grid(dec.m, g)
+    # Parts of at most _BOUND_PART samples keep the squarings' stacks small; no
+    # part has a single sample unless the grid does, so every part is assembled
+    # the way the eigvals batches are.
+    parts = np.array_split(thetas, -(-len(thetas) // _BOUND_PART))
+    bound = np.concatenate([b for part in parts for b in _pencil_map(
+        _radius_bound, A, thetas=part, rhs=2 * A0.shape[0])])
+    order = np.argsort(-bound, kind="stable")
+    best = -math.inf
+    for lo in range(0, order.size, _EIG_BATCH):
+        if bound[order[lo]] <= best:
+            break
+        batch = order[lo:lo + _EIG_BATCH]
+        if batch.size == 1 < order.size:  # one sample alone would be assembled another way
+            batch = order[lo - 1:lo + 1]
+        best = max(best, *_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), A,
+                                      thetas=thetas[batch]))
+    return float(best)
+
+
+def _radius_bound(M) -> np.ndarray:
+    """Per sample, an upper bound of the spectral radius ``eigvals`` computes for ``M``.
+
+    Gelfand's bound ``rho(F) <= ||F^8||^(1/8) <= ||F^8||_F^(1/8)``, with ``F^8``
+    from three squarings and ``f = ||F||_F``, plus a slack for rounding:
+    ``(||fl(F^8)||_F + _ROUNDING_SLACK n (n + 1) eps f^8 + _UNDERFLOW)^(1/8)``.
+
+    * The squarings: a product ``fl(XY)`` is off by at most ``n eps ||X|| ||Y||``
+      in the Frobenius norm, which adds up to ``7 n eps f^8`` over the three.
+    * ``eigvals``: the radius it returns is that of ``F + E`` with
+      ``||E||_F <= p(n) eps f`` (backward stability, ``p(n)`` a modest multiple of
+      ``n``), and ``||(F + E)^8 - F^8||_F <= (f + ||E||)^8 - f^8``, about
+      ``8 p(n) eps f^8``.
+    * The Frobenius norms (a sum of ``2 n^2`` squares), the absolute value of the
+      eigenvalue and the eighth root are accurate to ``2 n^2 eps`` relative at
+      worst, which is at most ``2 n^2 eps f^8`` on the eighth power (``rho <= f``).
+
+    Together these stay below ``64 n (n + 1) eps f^8``.  ``_UNDERFLOW`` covers
+    the squares that underflow in the norms (below ``n * 1.5e-154`` in all).
+    A sample with a non-finite entry gets an infinite bound, so it is
+    decomposed first and fails as it would on the whole grid.
+    """
+    n = M.shape[1]
+    P = M @ M
+    P = P @ P
+    P = P @ P
+    V, W = M.view(np.float64), P.view(np.float64)  # squared norms with no stack-sized temporary
+    with np.errstate(over="ignore", invalid="ignore"):
+        f2 = np.einsum("kij,kij->k", V, V)
+        slack = _ROUNDING_SLACK * n * (n + 1) * np.finfo(float).eps * f2 ** 4 + _UNDERFLOW
+        bound = (np.sqrt(np.einsum("kij,kij->k", W, W)) + slack) ** 0.125
+    return np.nan_to_num(bound, nan=math.inf)
 
 
 def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, tau=None) -> float:
@@ -486,12 +557,18 @@ def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, 
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    omega_max = float(omega_max)
-    if not (math.isfinite(omega_max) and omega_max >= 0.0):
-        raise ValueError(f"omega_max must be finite and nonnegative, got {omega_max}")
+    omega_max = _omega_max(omega_max)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.linspace(0.0, omega_max, count)
     return _min_sigma(sys.A, E=sys.E, omegas=omegas, tau=tau)
+
+
+def _omega_max(value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and nonnegative."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"omega_max must be finite and nonnegative, got {value}")
+    return value
 
 
 @dataclass
@@ -538,7 +615,15 @@ def validate_system(
     gamma_a < 1 for the delay-difference part and, optionally, scans
     ``sigma_min`` of the characteristic matrix along part of the imaginary
     axis.  Full characteristic-root analysis is out of scope.
+
+    The options are checked first, whatever the assumption checks find:
+    ``grid_per_dim < 1`` and an ``axis_scan_omega_max`` that is not finite and
+    nonnegative raise ``ValueError``.
     """
+    if grid_per_dim is not None and grid_per_dim < 1:
+        raise ValueError("grid_per_dim must be >= 1")
+    if axis_scan_omega_max is not None:
+        _omega_max(axis_scan_omega_max)
     dec = decompose(sys, rank_tol)
     messages = []
     ok1, margin1 = check_assumption1(dec, assumption_tol)

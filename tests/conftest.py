@@ -159,6 +159,15 @@ def _orthogonal(rng, n):
     return q
 
 
+def three_delay_system():
+    """Seeded E = 0 system with m = 3 delays and a 2x2 algebraic block."""
+    rng = np.random.default_rng(5)
+    A = [np.eye(2) + 0.2 * rng.standard_normal((2, 2))]
+    A += [0.25 * rng.standard_normal((2, 2)) for _ in range(3)]
+    return DdaeSystem(E=np.zeros((2, 2)), A=tuple(A), B=rng.standard_normal((2, 2)),
+                      C=rng.standard_normal((2, 2)), tau=[1.0, 1.5, 2.5])
+
+
 def random_stable_system(seed):
     """Deterministic stable DDAE instance with n <= 6, m <= 2, gamma_a < 0.9.
 

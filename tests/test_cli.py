@@ -59,6 +59,21 @@ class TestCheck:
         assert main(["check", sys_a_file, f"--axis-scan={value}"]) == 1
         assert "omega_max must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        ("--axis-scan=nan", "omega_max must be finite and nonnegative, got nan"),
+        ("--axis-scan=-5", "omega_max must be finite and nonnegative, got -5.0"),
+        ("--grid-per-dim=0", "grid_per_dim must be >= 1"),
+    ])
+    def test_invalid_option_on_ill_posed_exit_1(self, tmp_path, capsys, option, message):
+        doc = {"n": 1, "delays": [], "E": [[0.0]], "A": [[[0.0]]],
+               "B": [[1.0]], "C": [[1.0]]}
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), option]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "ill-posed" not in captured.out
+
     def test_json_report(self, sys_a_file, capsys):
         assert main(["check", sys_a_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

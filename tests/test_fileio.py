@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,41 @@ class TestSystemFiles:
         load_system(path)
         assert calls == [1]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("E", [[True, 0.0], [0.0, 0.0]], "True is not of type 'number' (at E/0/0)"),
+        ("C", [["2", 1.0]], "'2' is not of type 'number' (at C/0/0)"),
+        ("C", [[None, 1.0]], "None is not of type 'number' (at C/0/0)"),
+        ("B", [[], [1.0]], "[] should be non-empty (at B/0)"),
+        ("B", [], "[] should be non-empty (at B)"),
+        ("C", [2.0, 1.0], "1.0 is not of type 'array' (at C/1)"),
+        ("E", [[[1.0], [0.0]], [[0.0], [0.0]]], "[0.0] is not of type 'number' (at E/1/1)"),
+    ], ids=["bool", "string", "null", "empty-row", "empty-matrix", "flat-row", "nested"])
+    def test_matrix_entry_messages(self, key, value, message):
+        doc = sys_a_doc()
+        doc[key] = value
+        with pytest.raises(SchemaError) as err:
+            system_from_dict(doc)
+        assert str(err.value) == f"system.schema.json: {message}"
+
+    def test_bool_inside_list_of_matrices(self):
+        doc = sys_a_doc()
+        doc["A"][1][1][1] = False
+        with pytest.raises(SchemaError, match=re.escape("False is not of type 'number' "
+                                                        "(at A/1/1/1)")):
+            system_from_dict(doc)
+
+    def test_ragged_rows_pass_the_schema(self):
+        # the schema allows rows of unequal length; the array conversion refuses them
+        doc = sys_a_doc()
+        doc["E"] = [[1.0, 0.0], [0.0]]
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            system_from_dict(doc)
+
+    def test_integer_entries_accepted(self):
+        doc = sys_a_doc()
+        doc["C"] = [[2, 1]]
+        np.testing.assert_array_equal(system_from_dict(doc).C, [[2.0, 1.0]])
+
     def test_not_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")
@@ -172,6 +208,14 @@ class TestBuild:
         doc = {"steps": [{"op": "eliminate_feedthrough"}]}
         with pytest.raises(SchemaError):
             build_from_dict(doc)
+
+    def test_bool_matrix_entry_message(self):
+        doc = {"plant": {"A": [[0.0]], "B1": [[1.0]], "B2": [[True]], "C": [[1.0]],
+                         "D1": [[0.0]], "F": [[1.0]]}, "steps": []}
+        with pytest.raises(SchemaError) as err:
+            build_from_dict(doc)
+        assert str(err.value) == ("interconnect.schema.json: True is not of type 'number' "
+                                  "(at plant/B2/0/0)")
 
     def test_close_feedback_requires_controller(self):
         doc = {

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -26,12 +27,14 @@ from ddaenorm import (
 from ddaenorm.response import sigma_Ta_samples, sigma_Ta_torus_samples
 from ddaenorm.system_model import _min_sigma, _pencil_map, _torus_grid
 from conftest import (
+    _orthogonal,
     brute_hinf_formula,
     formula_T,
     formula_T_b,
     make_sys_a,
     make_sys_b,
     random_stable_system,
+    three_delay_system,
 )
 
 
@@ -490,8 +493,9 @@ class TestPlainNormEvaluations:
 class TestTorusEvaluations:
     """Points and calls of ``strong_norm_Ta``'s half-torus sweep and its polish."""
 
-    @pytest.mark.parametrize("make", [make_sys_a, make_sys_b], ids=["SYS-A", "SYS-B"])
-    def test_sweep_and_polish(self, monkeypatch, make):
+    @pytest.mark.parametrize("make, rows", [(make_sys_a, 945), (make_sys_b, 1_905)],
+                             ids=["SYS-A", "SYS-B"])
+    def test_sweep_and_polish(self, monkeypatch, make, rows):
         seen = []
         real = norms.sigma_Ta_torus_samples
 
@@ -500,23 +504,90 @@ class TestTorusEvaluations:
             return real(dec, thetas)
 
         monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
-        strong_norm_Ta(decompose(make()))
-        assert seen[0] == 80_002  # (400**2 + 2**2) / 2: one point of each conjugate pair
-        assert sum(seen) == 80_074
-        assert len(seen) == 67
+        res = strong_norm_Ta(decompose(make()))
+        assert seen[0] == 1_300  # one centre per 8 x 8 cell that holds half-grid rows: 26 * 50
+        # the pruned sweep, of the (400**2 + 2**2) / 2 = 80,002 rows of the half grid
+        assert seen[1] == rows == res.diagnostics["grid_points"]
+        assert sum(seen) == 1_300 + rows + 72
+        assert len(seen) == 68
+
+
+@st.composite
+def _algebraic_systems(draw):
+    """E = 0 systems with m = 2 whose torus function is smooth, sharply peaked
+    (gamma_a near 1), symmetric in the two phases (tied maxima) or flat to
+    rounding (delay terms of relative size 1e-16)."""
+    nu, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "near-one", "tied", "flat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A0 = _orthogonal(rng, nu) @ np.diag(rng.uniform(0.8, 1.6, nu)) @ _orthogonal(rng, nu).T
+    R = rng.standard_normal((nu, nu))
+    F = np.linalg.solve(A0, R)
+    if kind == "near-one":  # F(theta) = F (e^{-j theta_1} + c e^{-j theta_2}): radius up to 0.999
+        c = rng.uniform(0.2, 1.0)
+        A = [A0, R, c * R]
+        scale = 0.999 / (np.abs(np.linalg.eigvals(F)).max() * (1.0 + c))
+    else:
+        A = [A0, R, R if kind == "tied" else rng.standard_normal((nu, nu))]
+        gain = 3e-16 if kind == "flat" else rng.uniform(0.2, 0.9)
+        scale = gain / sum(np.linalg.norm(np.linalg.solve(A0, Ai), 2) for Ai in A[1:])
+    A[1:] = [Ai * scale for Ai in A[1:]]
+    return DdaeSystem(E=np.zeros((nu, nu)), A=tuple(A), B=rng.standard_normal((nu, p)),
+                      C=rng.standard_normal((p, nu)), tau=[1.0, 2.0])
+
+
+def _grid_index(thetas, g):
+    """Flat C-order index of each torus grid point."""
+    return np.rint(thetas * (g / (2.0 * np.pi))).astype(int) @ g ** np.arange(thetas.shape[1])[::-1]
+
+
+class TestPrunedSweep:
+    """The pruned strong-norm sweep against the whole half grid, evaluated in the test."""
+
+    g = norms._PRUNE_MIN_G  # the smallest grid that is pruned
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_algebraic_systems())
+    def test_max_and_argmax_bit_for_bit(self, sys):
+        dec, g = decompose(sys), self.g
+        grid = _torus_grid(2, g)
+        rows = norms._sweep_rows(dec, g)
+        kept = np.isin(_grid_index(grid, g), _grid_index(rows, g))
+        np.testing.assert_array_equal(rows, grid[kept])  # a subsequence of the half grid
+        whole = sigma_Ta_torus_samples(dec, grid)[0][:, 0]
+        pruned = sigma_Ta_torus_samples(dec, rows)[0][:, 0]
+        i, j = int(np.argmax(whole)), int(np.argmax(pruned))
+        assert pruned[j] == whole[i]
+        assert rows[j].tolist() == grid[i].tolist()  # the first occurrence
+        res = strong_norm_Ta(dec, grid_per_dim=g)
+        assert res.diagnostics["grid_max"] == whole[i]
+        assert res.diagnostics["grid_points"] == len(rows)
+
+    @pytest.mark.filterwarnings("ignore:gamma_a")
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
+           st.sampled_from([0, 1]))
+    def test_singular_row_as_whole_grid(self, nu, seed, k1, k2):
+        # M(theta) = -A0 - A1 e^{-j theta_1} - A2 e^{-j theta_2} is singular at
+        # theta = (k1 pi, k2 pi), a grid point that is its own mirror (a 1x1
+        # pencil is never flagged: its condition number is 1).
+        rng = np.random.default_rng(seed)
+        A1, A2, N = rng.standard_normal((3, nu, nu))
+        U, s, Vt = np.linalg.svd(N)
+        A0 = -(-1.0) ** k1 * A1 - (-1.0) ** k2 * A2 + (U * np.append(s[:-1], 0.0)) @ Vt
+        dec = decompose(DdaeSystem(E=np.zeros((nu, nu)), A=(A0, A1, A2), B=np.ones((nu, 1)),
+                                   C=np.ones((1, nu)), tau=[1.0, 2.0]))
+        grid = _torus_grid(2, self.g)
+        ok = sigma_Ta_torus_samples(dec, grid)[1]
+        assert not ok.all()
+        bad = tuple(grid[int(np.argmax(~ok))].tolist())
+        with pytest.raises(UnboundedNormError, match=re.escape(f"theta={bad};")):
+            strong_norm_Ta(dec, grid_per_dim=self.g)
 
 
 def _full_torus_grid(m, g):
     theta = 2.0 * np.pi * np.arange(g) / g
     return np.stack(np.meshgrid(*([theta] * m), indexing="ij"), axis=-1).reshape(-1, m)
-
-
-def _three_delay_system():
-    rng = np.random.default_rng(5)
-    A = [np.eye(2) + 0.2 * rng.standard_normal((2, 2))]
-    A += [0.25 * rng.standard_normal((2, 2)) for _ in range(3)]
-    return DdaeSystem(E=np.zeros((2, 2)), A=tuple(A), B=rng.standard_normal((2, 2)),
-                      C=rng.standard_normal((2, 2)), tau=[1.0, 1.5, 2.5])
 
 
 class TestHalfTorusMatchesFullGrid:
@@ -528,7 +599,7 @@ class TestHalfTorusMatchesFullGrid:
         (lambda: random_stable_system(9), None),    # m = 1, nu = 2
         (lambda: random_stable_system(14), 61),     # m = 1, nu = 2
         (lambda: random_stable_system(10), 33),     # m = 2, nu = 2
-        (_three_delay_system, 17),                  # m = 3, nu = 2
+        (three_delay_system, 17),                   # m = 3, nu = 2
     ], ids=["SYS-A", "SYS-B-odd", "m1", "m1-odd", "m2-odd", "m3-odd"])
     def test_values(self, make, g):
         dec = decompose(make())

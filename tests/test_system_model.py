@@ -17,7 +17,8 @@ from ddaenorm import (
     nullspace_bases,
     validate_system,
 )
-from ddaenorm.system_model import _torus_grid
+from ddaenorm.system_model import _pencil_map, _torus_grid
+from conftest import make_sys_a, three_delay_system
 
 
 class TestNullspaceBases:
@@ -167,6 +168,73 @@ class TestDifferenceStability:
         assert values[-1] == pytest.approx(0.75, abs=1e-10)
 
 
+def _difference_system(F):
+    """An E = 0 system with ``A22[0] = -I``, whose gamma_a grid is that of ``F``."""
+    n = F[0].shape[0]
+    return DdaeSystem(E=np.zeros((n, n)), A=(-np.eye(n), *F), B=np.ones((n, 1)),
+                      C=np.ones((1, n)), tau=np.arange(1.0, len(F) + 1.0))
+
+
+def _whole_grid_radius(dec, g):
+    """gamma_a with ``eigvals`` on every sample of the grid."""
+    A0 = dec.A22[0]
+    A = (np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
+    return float(max(_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), A,
+                                 thetas=_torus_grid(dec.m, g))))
+
+
+@st.composite
+def _adversarial_parts(draw):
+    """Delay terms whose radius the Gelfand bound overestimates, ties or nearly misses."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["jordan", "nilpotent", "normal", "wide", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = np.eye(n, k=1)
+    if kind == "jordan":
+        F = [rng.uniform(0.3, 0.99) * np.eye(n) + shift, 1e-3 * rng.standard_normal((n, n))]
+    elif kind == "nilpotent":  # radius (1e-8)^(1/n) at every sample
+        F = [shift, 1e-8 * np.eye(n, k=1 - n)]
+    elif kind == "normal":  # equal radii, and F_2 commutes with F_1
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        F1 = Q @ np.diag(rng.choice([-1.0, 1.0], n)) @ Q.T * rng.uniform(0.1, 0.6)
+        F = [F1, rng.uniform(0.0, 1.0) * F1]
+    elif kind == "wide":  # ||F||_F >> rho
+        F = [np.diag(rng.uniform(-0.5, 0.5, n)) + 1e3 * np.triu(rng.standard_normal((n, n)), 1),
+             1e-3 * rng.standard_normal((n, n))]
+    else:
+        F = list(rng.standard_normal((2, n, n)) * rng.uniform(0.05, 0.5))
+    g = draw(st.sampled_from([16, 64, 400] if m == 1 else [16, 33, 64]))
+    return F[:m], g
+
+
+class TestPrunedDifferenceRadius:
+    """The pruned gamma_a grid against ``eigvals`` on the whole grid, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(_adversarial_parts())
+    def test_matches_whole_grid(self, parts):
+        F, g = parts
+        dec = decompose(_difference_system(F))
+        assert check_difference_stability(dec, grid_per_dim=g) == _whole_grid_radius(dec, g)
+
+    @pytest.mark.parametrize("f", [0.75, 1.0 / 3.0, -0.999])
+    def test_tied_scalar_grid(self, f):
+        # F(theta) = f e^{-j theta}: all 201 samples have the radius |f|, up to rounding
+        dec = decompose(_difference_system([np.array([[f]])]))
+        assert check_difference_stability(dec, grid_per_dim=400) == _whole_grid_radius(dec, 400)
+
+    @pytest.mark.parametrize("make, samples", [
+        (make_sys_a, [64]),               # of 2,050
+        (three_delay_system, [64] * 4),   # of 6,916
+    ], ids=["SYS-A", "m3"])
+    def test_eigvals_samples(self, monkeypatch, make, samples):
+        seen = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(len(M)) or real(M))
+        decompose(make()).gamma_a
+        assert seen == samples
+
+
 class TestValidateSystem:
     def test_sys_a_report(self, sys_a):
         report = validate_system(sys_a)
@@ -185,6 +253,19 @@ class TestValidateSystem:
     def test_axis_scan(self, sys_a):
         report = validate_system(sys_a, axis_scan_omega_max=20.0)
         assert report.axis_margin is not None and report.axis_margin > 1e-3
+
+    @pytest.mark.parametrize("E", [[[0.0]], [[1.0]]], ids=["ill-posed", "ode"])
+    @pytest.mark.parametrize("options, name", [
+        ({"axis_scan_omega_max": math.nan}, "omega_max"),
+        ({"axis_scan_omega_max": -5.0}, "omega_max"),
+        ({"axis_scan_omega_max": math.inf}, "omega_max"),
+        ({"grid_per_dim": 0}, "grid_per_dim"),
+    ])
+    def test_options_checked_before_assumptions(self, E, options, name):
+        # A_0 = 0: Assumption 1 fails for E = 0 and is vacuous for E = 1
+        sys = DdaeSystem(E=E, A=([[0.0]],), B=[[1.0]], C=[[1.0]], tau=[])
+        with pytest.raises(ValueError, match=name):
+            validate_system(sys, **options)
 
 
 class TestImaginaryAxisMargin:
