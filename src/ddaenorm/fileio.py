@@ -94,35 +94,35 @@ def _is_matrix(rows) -> bool:
         type(r) is list and len(r) == width and set(map(type, r)) <= _NUMBER_TYPES for r in rows)
 
 
+def _matrix(rows, label) -> np.ndarray:
+    """A matrix that passed the schema, as a float array; the schema allows ragged rows."""
+    if len({len(r) for r in rows}) > 1:
+        raise SchemaError(f"{label} has rows of unequal length")
+    return np.asarray(rows, dtype=float)
+
+
 def system_from_dict(doc: dict) -> DdaeSystem:
     _validate(doc, "system.schema.json")
     n = doc["n"]
     delays = np.asarray(doc["delays"], dtype=float)
-    A_raw = [np.asarray(Ai, dtype=float) for Ai in doc["A"]]
+    E = _matrix(doc["E"], "E")
+    A_raw = [_matrix(Ai, f"A[{i}]") for i, Ai in enumerate(doc["A"])]
     if len(A_raw) != delays.size + 1:
         raise SchemaError(
             f"A holds {len(A_raw)} matrices but delays has {delays.size} entries "
             "(need one undelayed plus one per delay)"
         )
-    for label, M in [("E", np.asarray(doc["E"], dtype=float))] + [
-        (f"A[{i}]", Ai) for i, Ai in enumerate(A_raw)
-    ]:
+    for label, M in [("E", E)] + [(f"A[{i}]", Ai) for i, Ai in enumerate(A_raw)]:
         if M.shape != (n, n):
             raise SchemaError(f"{label} has shape {M.shape}, expected ({n}, {n})")
-    B = np.asarray(doc["B"], dtype=float)
-    C = np.asarray(doc["C"], dtype=float)
+    B = _matrix(doc["B"], "B")
+    C = _matrix(doc["C"], "C")
     if B.shape[0] != n:
         raise SchemaError(f"B has {B.shape[0]} rows, expected {n}")
     if C.shape[1] != n:
         raise SchemaError(f"C has {C.shape[1]} columns, expected {n}")
     A_list, tau = _canonical_terms(A_raw[0], zip(delays, A_raw[1:]))
-    return DdaeSystem(
-        E=np.asarray(doc["E"], dtype=float),
-        A=tuple(A_list),
-        B=B,
-        C=C,
-        tau=tau,
-    )
+    return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
 
 
 def system_to_dict(sys: DdaeSystem, name=None, description=None) -> dict:

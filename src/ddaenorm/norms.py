@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,6 +427,9 @@ class _BoundParams:
     scale: float      # summed block norms over e: the frequency scale of the scan
 
 
+_BOUND_PARAMS = weakref.WeakKeyDictionary()  # _bound_params per decomposition
+
+
 def _bound_params(dec: BlockDecomposition) -> _BoundParams:
     """Constants of the high-frequency envelope sigma_1(T - T_a) <= K / (w*e - a11).
 
@@ -435,9 +439,12 @@ def _bound_params(dec: BlockDecomposition) -> _BoundParams:
     sigma_min(-A22(theta))``; the Schur-complement correction terms are valid
     once ``beta * a21 * a12 / (w*e - a11) <= 1/2``.  Needs gamma_a < 1; beta is 0
     without an algebraic part, and for nd = 0, where T = T_a needs no envelope.
+    Computed once per decomposition; the gamma_a test runs on every call.
     """
     if (gamma_a := check_difference_stability(dec)) >= 1.0:
         raise UnboundedNormError(f"gamma_a={gamma_a:.4f} >= 1: no finite frequency bound exists")
+    if (params := _BOUND_PARAMS.get(dec)) is not None:
+        return params
     e = _sigma_min(dec.E11)
     a11, a12, a21, a22 = _block_norm_sums(dec)
     scale = (a11 + a12 + a21 + a22) / e if e > 0.0 else 0.0
@@ -458,7 +465,8 @@ def _bound_params(dec: BlockDecomposition) -> _BoundParams:
         + 2.0 * beta * beta * c2 * coupling * b2
         + 2.0 * beta * c1 * coupling * b1 * r_valid
     )
-    return _BoundParams(e=e, a11=a11, K=K, omega_valid=omega_valid, scale=scale)
+    _BOUND_PARAMS[dec] = _BoundParams(e=e, a11=a11, K=K, omega_valid=omega_valid, scale=scale)
+    return _BOUND_PARAMS[dec]
 
 
 def _bound_value_at(params: _BoundParams, omega: float) -> float:
@@ -582,6 +590,44 @@ def _bisect_crossing(f, lo, hi, flo, xtol):
     return 0.5 * (lo + hi)
 
 
+def _scan(scan, cap, step, lobe, omega_low, period, max_points):
+    """Scan ``sigma_1`` on the grid ``k * step`` only as far as the tail certificate needs.
+
+    ``scan`` evaluates grid points; ``cap`` maps a grid maximum, a lower bound
+    of the supremum, to a valid certified cap (``inf`` if none).  The floors
+    are ``omega_low``, 20 lobes and two periods of ``T_a`` (1,000 lobes for
+    incommensurate delays), cut to ``max_points``.  The grid grows in
+    segments, each continuing the one before: first to the nearer of 20 lobes
+    (``omega_low`` without delays) and the floors, where a cap within the
+    floors certifies the tail once the scan reaches it; otherwise to the
+    floors, where a cap within ``max_points`` does.  Returns the grid, its
+    ``sigma_1``, the scan's extent, the cap (``None`` for an uncertified
+    tail) and whether ``max_points`` cut that tail's scan.
+    """
+    floors = omega_low
+    if lobe:
+        floors = max(floors, 20.0 * lobe, 2.05 * period if period else 1000.0 * lobe)
+    truncated = floors / step > max_points
+    floors = step * max_points if truncated else floors
+    first = min(20.0 * lobe if lobe else omega_low, floors)
+
+    def grow(sigma1, upto):
+        grid = np.arange(0.0, upto, step)
+        return grid, np.concatenate([sigma1, scan(grid[sigma1.size:])])
+
+    sigma1 = np.empty(0)
+    for upto in (first, floors) if first < floors else (floors,):
+        omegas, sigma1 = grow(sigma1, upto)
+        omega_cap = cap(float(sigma1.max()))
+        if omega_cap <= upto:
+            return omegas, sigma1, upto, omega_cap, False
+        if (omega_cap <= floors if upto < floors
+                else (omega_cap - upto) / step + omegas.size <= max_points):
+            omegas, sigma1 = grow(sigma1, omega_cap + step)
+            return omegas, sigma1, omega_cap + step, omega_cap, False
+    return omegas, sigma1, floors, None, truncated
+
+
 def hinf_norm_T(
     sys: DdaeSystem,
     dec: BlockDecomposition | None = None,
@@ -597,17 +643,19 @@ def hinf_norm_T(
     """Plain H-infinity norm ``sup_{w >= 0} sigma_1(T(jw))`` for fixed delays.
 
     The search scans ``sigma_1`` on a delay-scale linear grid (``scan_density``
-    points per oscillation scale ``2*pi / sum(tau)``), covering at least the
-    low-frequency resonance range and -- for commensurate delays -- two full
-    periods of the asymptotic part, then polishes candidate peaks by golden
-    section and certifies the level by a crossing search: the iteration stops
-    once ``sigma_1`` nowhere crosses ``value * (1 + bisect_tol)``.  All peaks
-    are polished, and all crossings of a level bisected, in lockstep: each
-    step is one batched evaluation holding the next point of every open
-    bracket, so the number of calls does not grow with the number of peaks.
-    When the certified cap requires it (and the budget allows), the scan is
-    extended to the rigorous frequency bound; otherwise the remaining tail
-    uncertainty is reported in the diagnostics.
+    points per oscillation scale ``2*pi / sum(tau)``), then polishes candidate
+    peaks by golden section and certifies the level by a crossing search: the
+    iteration stops once ``sigma_1`` nowhere crosses ``value * (1 + bisect_tol)``.
+    The scan covers 20 oscillation scales and then only as far as the
+    rigorous frequency bound of its maximum, beyond which ``T`` cannot rise
+    above that level.  Only when that bound is out of reach does it cover
+    the low-frequency resonance range and -- for commensurate delays -- two
+    full periods of the asymptotic part (see :func:`_scan`); if the bound is
+    still out of reach there, the remaining tail uncertainty is reported in
+    the diagnostics.  All peaks are polished, and all crossings of a level
+    bisected, in lockstep: each step is one batched evaluation holding the
+    next point of every open bracket, so the number of calls does not grow
+    with the number of peaks.
 
     Peaks whose values agree within ``bisect_tol`` (relative) are ties and the
     smallest frequency wins, so weakly separated recurring peaks yield the
@@ -648,20 +696,13 @@ def hinf_norm_T(
     step = lobe / scan_density if lobe else omega_low / 10000.0
 
     tail = _tail_sup_Ta(dec, tau, step, max_scan_points // 2)
+    # Rigorous tail cap: beyond it the response cannot rise above the level
+    # of a grid maximum unless the asymptotic branch already dominates.
+    tail_ub = tail["value"] * (1.0 + 1e-6) if tail["exact"] else ta.value
 
-    omega_scan = omega_low
-    if tail["period"] is not None:
-        # Two periods of T_a expose the recurring peak structure; the point
-        # budget clamp below keeps huge periods affordable.
-        omega_scan = max(omega_scan, 2.05 * tail["period"])
-    elif lobe:
-        omega_scan = max(omega_scan, 1000.0 * lobe)
-    if lobe:
-        omega_scan = max(omega_scan, 20.0 * lobe)
-    truncated = False
-    if omega_scan / step > max_scan_points:
-        omega_scan = step * max_scan_points
-        truncated = True
+    def cap(xi_grid):
+        gamma_cap = xi_grid * (1.0 + bisect_tol) - tail_ub
+        return _omega_cap(params, gamma_cap) if gamma_cap > 0.0 else math.inf
 
     def scan(grid):
         sig, ok = sigma_T_samples(sys, grid, tau)
@@ -672,29 +713,11 @@ def hinf_norm_T(
             )
         return sig[:, 0]
 
-    omegas = np.arange(0.0, omega_scan, step)
-    sigma1 = scan(omegas)
+    omegas, sigma1, omega_scan, omega_cap, truncated = _scan(
+        scan, cap, step, lobe, omega_low, tail["period"], max_scan_points)
+    tail_certified = omega_cap is not None
+    omega_cap = omega_cap if tail_certified else omega_scan
     xi_grid = float(sigma1.max())
-
-    # Rigorous tail cap: beyond Omega_r the response cannot rise above the
-    # current level unless the asymptotic branch already dominates.
-    tail_ub = tail["value"] * (1.0 + 1e-6) if tail["exact"] else ta.value
-    tail_certified = False
-    omega_cap = omega_scan
-    gamma_cap = xi_grid * (1.0 + bisect_tol) - tail_ub
-    if gamma_cap > 0.0:
-        omega_rig = _omega_cap(params, gamma_cap)
-        if omega_rig <= omega_scan:
-            tail_certified = True
-            omega_cap = omega_rig
-        elif (omega_rig - omega_scan) / step + omegas.size <= max_scan_points:
-            ext = np.arange(omega_scan, omega_rig + step, step)
-            omegas = np.concatenate([omegas, ext])
-            sigma1 = np.concatenate([sigma1, scan(ext)])
-            xi_grid = float(sigma1.max())
-            omega_scan = float(omegas[-1]) + step
-            tail_certified = True
-            omega_cap = omega_rig
 
     def sigma_at(points):
         return _sigma1(sigma_T_samples, sys, points, tau)

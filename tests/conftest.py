@@ -132,16 +132,25 @@ def sigma1_direct(sys, omega, tau=None):
     return float(np.linalg.svd(transfer_matrix(sys, omega, tau), compute_uv=False)[0])
 
 
-def brute_hinf_system(sys, wmax, samples, tau=None):
-    """Grid oracle for arbitrary systems: vectorized scan + golden refinement."""
-    tau_arr = np.asarray(sys.tau if tau is None else tau, dtype=float)
-    w = np.linspace(0.0, wmax, samples)
+def sigma1_grid(sys, w, tau):
+    """sigma_1(T(j w)) on the frequencies ``w``: one batched solve and SVD."""
     M = 1j * w[:, None, None] * sys.E.astype(complex) - sys.A[0]
     for i in range(sys.m):
-        phases = np.exp(-1j * w * tau_arr[i])
+        phases = np.exp(-1j * w * tau[i])
         M = M - phases[:, None, None] * sys.A[i + 1]
-    X = np.linalg.solve(M, np.broadcast_to(sys.B.astype(complex), (samples,) + sys.B.shape))
-    vals = np.linalg.svd(sys.C @ X, compute_uv=False)[:, 0]
+    X = np.linalg.solve(M, np.broadcast_to(sys.B.astype(complex), (w.size,) + sys.B.shape))
+    return np.linalg.svd(sys.C @ X, compute_uv=False)[:, 0]
+
+
+def brute_hinf_system(sys, wmax, samples, tau=None):
+    """Grid oracle for arbitrary systems: vectorized scan + golden refinement.
+
+    The grid is evaluated in chunks of 512 frequencies, so memory stays small.
+    """
+    tau_arr = np.asarray(sys.tau if tau is None else tau, dtype=float)
+    w = np.linspace(0.0, wmax, samples)
+    vals = np.concatenate([sigma1_grid(sys, part, tau_arr)
+                           for part in np.array_split(w, -(-samples // 512))])
     i = int(np.argmax(vals))
     lo = w[max(i - 1, 0)]
     hi = w[min(i + 1, samples - 1)]
@@ -234,3 +243,34 @@ def random_stable_system(seed):
     B = Uperp @ B1 + (U @ B2 if nu else 0.0)
     C = C1 @ Vperp.T + (C2 @ V.T if nu else 0.0)
     return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
+
+
+def dense_stable_system(seed, n, nu=2, m=2, p=2, tau=(1.0, 2.0)):
+    """Seeded dense DDAE with ``n`` states, ``nu`` algebraic ones and rank-``nu`` delay terms.
+
+    Built in nullspace-aligned bases, as :func:`random_stable_system`:
+    ``A11_0 + A11_0^T`` is negative definite, so the differential part is
+    stable; ``sum_i ||A22_0^{-1} A22_i|| = 0.6``, so ``gamma_a <= 0.6``; and
+    ``E`` is scaled so that the summed block norms are 30 times
+    ``sigma_min(E11)``, which puts the low-frequency range at ``[0, 310]``.
+    """
+    rng = np.random.default_rng(seed)
+    nd = n - nu
+    norm2 = lambda M: float(np.linalg.svd(M, compute_uv=False)[0])  # noqa: E731
+    X = rng.standard_normal((nd, nd)) / np.sqrt(nd)
+    A11_0 = X - (norm2(X) + 0.5) * np.eye(nd)
+    A22_0 = _orthogonal(rng, nu) @ np.diag(rng.uniform(0.8, 1.6, nu)) @ _orthogonal(rng, nu).T
+    raw = [rng.standard_normal((nu, nu)) for _ in range(m)]
+    gain = sum(norm2(np.linalg.solve(A22_0, R)) for R in raw)
+    A22 = [A22_0] + [R * (0.6 / gain) for R in raw]
+    A12_0 = 0.01 * rng.standard_normal((nd, nu))
+    A21_0 = 0.01 * rng.standard_normal((nu, nd))
+    Q1, Q2 = _orthogonal(rng, n), _orthogonal(rng, n)
+    Uperp, U, Vperp, V = Q1[:, :nd], Q1[:, nd:], Q2[:, :nd], Q2[:, nd:]
+    block_norms = norm2(A11_0) + norm2(A12_0) + norm2(A21_0) + sum(map(norm2, A22))
+    B1 = 3.0 * rng.standard_normal((nd, p)) / np.sqrt(nd)
+    B2, C2 = 0.1 * rng.standard_normal((nu, p)), 0.1 * rng.standard_normal((p, nu))
+    A0 = Uperp @ A11_0 @ Vperp.T + Uperp @ A12_0 @ V.T + U @ A21_0 @ Vperp.T + U @ A22_0 @ V.T
+    return DdaeSystem(E=(block_norms / 30.0) * (Uperp @ Vperp.T),
+                      A=(A0,) + tuple(U @ Ai @ V.T for Ai in A22[1:]),
+                      B=Uperp @ B1 + U @ B2, C=B1.T @ Vperp.T + C2 @ V.T, tau=list(tau))

@@ -54,6 +54,14 @@ class TestCheck:
         path.write_text(json.dumps({"n": 1}))
         assert main(["check", str(path)]) == 1
 
+    def test_ragged_rows_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"n": 2, "delays": [], "E": [[1.0, 0.0], [0.0]],
+                                    "A": [[[-1.0, 0.0], [0.0, -1.0]]],
+                                    "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]}))
+        assert main(["check", str(path)]) == 1
+        assert "E has rows of unequal length" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
     def test_invalid_axis_scan_exit_1(self, sys_a_file, capsys, value):
         assert main(["check", sys_a_file, f"--axis-scan={value}"]) == 1

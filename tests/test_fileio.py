@@ -145,11 +145,13 @@ class TestSystemFiles:
             system_from_dict(doc)
 
     def test_ragged_rows_pass_the_schema(self):
-        # the schema allows rows of unequal length; the array conversion refuses them
-        doc = sys_a_doc()
-        doc["E"] = [[1.0, 0.0], [0.0]]
-        with pytest.raises(ValueError, match="inhomogeneous"):
-            system_from_dict(doc)
+        # the schema allows rows of unequal length; the conversion names the matrix
+        for key, label in [("E", "E"), ("B", "B"), ("A", "A[1]")]:
+            doc = sys_a_doc()
+            rows = doc[key][1] if key == "A" else doc[key]
+            rows[-1] = rows[-1][:-1] if len(rows[-1]) > 1 else rows[-1] + [0.0]
+            with pytest.raises(SchemaError, match=rf"^{re.escape(label)} has rows of unequal"):
+                system_from_dict(doc)
 
     def test_integer_entries_accepted(self):
         doc = sys_a_doc()
