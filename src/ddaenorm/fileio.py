@@ -11,6 +11,8 @@ an all-zero delayed block dropped together with its delay.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 from functools import lru_cache
 from importlib import resources
@@ -236,6 +238,22 @@ def _plant_passthrough(plant, step_index):
     return DdaeSystem(
         E=np.eye(n), A=(plant.A.copy(),), B=plant.B2.copy(), C=plant.F.copy(), tau=np.zeros(0)
     )
+
+
+def _write_csv(path_or_buf, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to a path or to an open text buffer."""
+    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+    with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_json(doc, path=None):
+    """``doc`` as indented JSON text, or written to ``path`` (then None)."""
+    text = json.dumps(doc, indent=2)
+    if path is None:
+        return text
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def load_interconnect(path) -> DdaeSystem:

@@ -77,6 +77,8 @@ COMMENSURATE_S_CAP = 20000
 COMMENSURATE_REL_TOL = 1e-9
 
 _MAX_LEVEL_ITER = 40
+# Step below which the strong-norm polish of a torus maximum stops.
+_REFINE_TOL = 1e-8
 _MAX_DENSIFY = 3
 # Inflation of the torus resolvent estimate in the high-frequency envelope.
 _BOUND_SAFETY = 2.0
@@ -273,7 +275,7 @@ def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
     inv_norms = np.full((len(centres), 3), np.nan)
     try:
         inv_norms[ok] = np.concatenate(_pencil_map(
-            lambda M: _inverse_norms(M, B2, C2), dec.A22, thetas=centres[ok],
+            lambda M: _inverse_norms(M, B2, C2), dec.pencil_basis, thetas=centres[ok],
             rhs=n + B2.shape[1] + C2.shape[0]))
     except np.linalg.LinAlgError:  # an exactly singular pivot where the sampler saw none
         return _torus_grid(m, g)
@@ -309,7 +311,6 @@ def _inverse_norms(M, B, C) -> np.ndarray:
 def strong_norm_Ta(
     dec: BlockDecomposition,
     grid_per_dim: int | None = None,
-    refine_tol: float = 1e-8,
 ) -> NormResult:
     """Strong H-infinity norm of the asymptotic transfer function.
 
@@ -322,7 +323,7 @@ def strong_norm_Ta(
     A uniform grid (``grid_per_dim`` points per dimension, default 400 for
     m <= 2, 64 for m = 3, 16 for m = 4, refusal beyond without an explicit
     override) seeds a coordinate-wise golden-section ascent that runs until
-    the step is below ``refine_tol``.  Since ``sigma_1`` takes the same value
+    the step is below ``_REFINE_TOL`` (1e-8).  Since ``sigma_1`` takes the same value
     at ``theta`` and ``-theta``, the grid holds one point of each such pair,
     the lexicographically smaller (about half the points).  Grid points
     tie-break to the lexicographically smallest torus point, as on the full
@@ -385,13 +386,13 @@ def strong_norm_Ta(
                 points = np.repeat(theta[None], t.size, axis=0)
                 points[:, _i] = t
                 return _sigma1(sigma_Ta_torus_samples, dec, points)
-            [x], [fx] = _golden_section_max(f, [theta[i] - h], [theta[i] + h], refine_tol)
+            [x], [fx] = _golden_section_max(f, [theta[i] - h], [theta[i] + h], _REFINE_TOL)
             if fx > best:
                 moved = max(moved, abs(x - theta[i]))
                 theta[i] = x
                 best = float(fx)
-        h = max(h * 0.5, 4.0 * refine_tol)
-        if moved < refine_tol:
+        h = max(h * 0.5, 4.0 * _REFINE_TOL)
+        if moved < _REFINE_TOL:
             break
     theta = np.mod(theta, 2.0 * np.pi)
     return NormResult(
@@ -636,8 +637,6 @@ def hinf_norm_T(
     bisect_tol: float = DEFAULT_BISECT_TOL,
     scan_density: int = DEFAULT_SCAN_DENSITY,
     max_scan_points: int = DEFAULT_MAX_SCAN_POINTS,
-    max_iter: int = _MAX_LEVEL_ITER,
-    rank_tol=None,
     ta_result: NormResult | None = None,
 ) -> NormResult:
     """Plain H-infinity norm ``sup_{w >= 0} sigma_1(T(jw))`` for fixed delays.
@@ -665,7 +664,7 @@ def hinf_norm_T(
     ------
     ValueError
         An option is out of range: ``bisect_tol >= 0``, ``scan_density > 0``,
-        ``max_scan_points >= 2`` and ``max_iter >= 1`` are required.
+        and ``max_scan_points >= 2`` are required.
     AssumptionError
         Undelayed algebraic block singular.
     InstabilityError
@@ -679,12 +678,11 @@ def hinf_norm_T(
         ("bisect_tol", bisect_tol, ">= 0", bisect_tol >= 0.0),
         ("scan_density", scan_density, "> 0", scan_density > 0),
         ("max_scan_points", max_scan_points, ">= 2", max_scan_points >= 2),
-        ("max_iter", max_iter, ">= 1", max_iter >= 1),
     ):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
     if dec is None:
-        dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
+        dec = decompose(sys)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     gamma_a = dec.gamma_a
     params = _bound_params(dec)
@@ -739,7 +737,7 @@ def hinf_norm_T(
     crossings = []
     densify_left = _MAX_DENSIFY
     converged = False
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_LEVEL_ITER + 1):
         level = xi * (1.0 + bisect_tol)
         above = sigma1 > level
         if not above.any():
@@ -776,7 +774,7 @@ def hinf_norm_T(
             f"level={xi:.6g}, crossings={len(crossings)}"
         )
     if not converged:
-        raise ConvergenceError(f"no convergence within {max_iter} level iterations")
+        raise ConvergenceError(f"no convergence within {_MAX_LEVEL_ITER} level iterations")
 
     certified = xi * (1.0 + bisect_tol)
     window = xi * (1.0 - bisect_tol)
@@ -825,7 +823,6 @@ def strong_hinf_norm_T(
     tau=None,
     *,
     grid_per_dim: int | None = None,
-    refine_tol: float = 1e-8,
     **hinf_opts,
 ) -> NormResult:
     """Strong H-infinity norm: ``max(||T||_inf, strong norm of T_a)``.
@@ -840,9 +837,8 @@ def strong_hinf_norm_T(
     parameters.
     """
     if dec is None:
-        rank_tol = hinf_opts.get("rank_tol")
-        dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
-    ta = strong_norm_Ta(dec, grid_per_dim=grid_per_dim, refine_tol=refine_tol)
+        dec = decompose(sys)
+    ta = strong_norm_Ta(dec, grid_per_dim=grid_per_dim)
     plain = hinf_norm_T(sys, dec, tau, ta_result=ta, **hinf_opts)
     value = max(plain.value, ta.value)
     tie = abs(plain.value - ta.value) <= plain.rel_tol * max(plain.value, ta.value)

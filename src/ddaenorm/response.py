@@ -15,9 +15,12 @@ samples, the ``eval_*`` functions raise.  Grids are evaluated in chunks whose
 pencil stack fits ``_STACK_BYTES``, so memory stays bounded for any grid
 length and system size.  Each chunk is one stacked product: the real rows
 ``[1, cos theta_i, w, sin theta_i]`` times a real map of the coefficients,
-built once per call, written straight into the float64 view of the complex
-stack, with no stack-sized temporary.  The product is the same small one for
-every sample, so results do not depend on where the chunks split.
+written straight into the float64 view of the complex stack, with no
+stack-sized temporary.  The map is built once per system, on first use
+(``DdaeSystem.pencil_basis`` for ``T``, ``BlockDecomposition.pencil_basis``
+for ``T_a`` and the torus).  The product is the same small one for every
+sample, whether it is evaluated alone, in a search step or in any chunk, so
+the pencils do not depend on where the chunks split.
 
 No sample needs an SVD of the pencil.  Pencils with ``n <= 2`` (the paper's
 examples and their algebraic blocks) need no LAPACK call either: Cramer's
@@ -48,7 +51,6 @@ its value at ``theta``, and the torus grids hold one point of each such pair.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -59,6 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, EvaluationError
+from .fileio import _write_csv, _write_json
 from .system_model import BlockDecomposition, DdaeSystem, _pencil_map, _resolve_tau, decompose
 
 __all__ = [
@@ -279,21 +282,21 @@ def _sigma_chunk(M, B, C):
     return sig, ok
 
 
-def _sample(A, B, C, **samples):
-    """Singular values of ``C M^{-1} B`` over a pencil stack (see :func:`_pencil_map`).
+def _sample(S, B, C, **samples):
+    """Singular values of ``C M^{-1} B`` over the pencils of map ``S`` (see :func:`_pencil_map`).
 
     Returns ``(sigmas, ok)``: one descending row per sample, NaN where the
     matrix failed the rcond test and ``ok`` is False.
     """
-    parts = _pencil_map(lambda M: _sigma_chunk(M, B, C), A, rhs=B.shape[1] + 1, **samples)
+    parts = _pencil_map(lambda M: _sigma_chunk(M, B, C), S, rhs=B.shape[1] + 1, **samples)
     if len(parts) == 1:
         return parts[0]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _evaluate(A, B, C, point, what, **samples) -> np.ndarray:
+def _evaluate(S, B, C, point, what, **samples) -> np.ndarray:
     """Transfer matrix at one sample; raises EvaluationError where singular."""
-    [(T, ok, rcond)] = _pencil_map(lambda M: _transfer(M, B, C), A, **samples)
+    [(T, ok, rcond)] = _pencil_map(lambda M: _transfer(M, B, C), S, **samples)
     if not ok[0]:
         raise EvaluationError(f"{what} is singular at {point} (rcond <= {rcond[0]:.1e})",
                               point=point)
@@ -317,8 +320,8 @@ def eval_T(sys: DdaeSystem, omega: float, tau=None) -> np.ndarray:
         If ``j*omega`` is (numerically) a characteristic root.
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
-    return _evaluate(sys.A, sys.B, sys.C, float(omega), "characteristic matrix",
-                     E=sys.E, omegas=np.array([omega], dtype=float), tau=tau)
+    return _evaluate(sys.pencil_basis, sys.B, sys.C, float(omega), "characteristic matrix",
+                     omegas=np.array([omega], dtype=float), tau=tau)
 
 
 def eval_Ta(dec: BlockDecomposition, omega: float, tau) -> np.ndarray:
@@ -328,7 +331,7 @@ def eval_Ta(dec: BlockDecomposition, omega: float, tau) -> np.ndarray:
     :func:`eval_Ta_torus` at ``theta = (w tau_1 mod 2 pi, ...)``.
     """
     tau = _resolve_tau(tau, dec.m)
-    return _evaluate(dec.A22, dec.B2, dec.C2, float(omega), "A22(j*omega)",
+    return _evaluate(dec.pencil_basis, dec.B2, dec.C2, float(omega), "A22(j*omega)",
                      omegas=np.array([omega], dtype=float), tau=tau)
 
 
@@ -341,7 +344,7 @@ def eval_Ta_torus(dec: BlockDecomposition, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size != dec.m:
         raise DimensionError(f"expected theta of length {dec.m}, got {theta.size}")
-    return _evaluate(dec.A22, dec.B2, dec.C2, tuple(theta.tolist()), "torus matrix",
+    return _evaluate(dec.pencil_basis, dec.B2, dec.C2, tuple(theta.tolist()), "torus matrix",
                      thetas=theta[None])
 
 
@@ -354,7 +357,7 @@ def sigma_T_samples(sys: DdaeSystem, omegas, tau=None):
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.asarray(omegas, dtype=float)
-    return _sample(sys.A, sys.B, sys.C, E=sys.E, omegas=omegas, tau=tau)
+    return _sample(sys.pencil_basis, sys.B, sys.C, omegas=omegas, tau=tau)
 
 
 def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau):
@@ -363,7 +366,8 @@ def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau):
     This is the torus function at ``theta = w * tau``.
     """
     tau = _resolve_tau(tau, dec.m)
-    return _sample(dec.A22, dec.B2, dec.C2, omegas=np.asarray(omegas, dtype=float), tau=tau)
+    return _sample(dec.pencil_basis, dec.B2, dec.C2, omegas=np.asarray(omegas, dtype=float),
+                   tau=tau)
 
 
 def sigma_Ta_torus_samples(dec: BlockDecomposition, thetas):
@@ -371,7 +375,7 @@ def sigma_Ta_torus_samples(dec: BlockDecomposition, thetas):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas.reshape(-1, max(dec.m, 1))
-    return _sample(dec.A22, dec.B2, dec.C2, thetas=thetas)
+    return _sample(dec.pencil_basis, dec.B2, dec.C2, thetas=thetas)
 
 
 def system_hash(sys: DdaeSystem) -> str:
@@ -422,16 +426,7 @@ class SvCurve:
     def to_csv(self, path_or_buf) -> None:
         """Write ``omega,sigma_1,...`` rows (full-precision decimals)."""
         cols, data = self._columns()
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in data:
-                writer.writerow([repr(float(x)) for x in row])
-        finally:
-            if own:
-                fh.close()
+        _write_csv(path_or_buf, cols, ([repr(float(x)) for x in row] for row in data))
 
     def to_dict(self) -> dict:
         cols, data = self._columns()
@@ -444,12 +439,7 @@ class SvCurve:
         }
 
     def to_json(self, path=None):
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return _write_json(self.to_dict(), path)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -461,9 +451,7 @@ def sweep(
     sys: DdaeSystem,
     grid: FrequencyGrid,
     which: str = "T",
-    dec: BlockDecomposition | None = None,
     tau=None,
-    rank_tol=None,
 ) -> SvCurve:
     """Sample all singular values of ``T`` or ``T_a`` over a frequency grid.
 
@@ -477,9 +465,7 @@ def sweep(
     if which == "T":
         sigmas, ok = sigma_T_samples(sys, omegas, tau)
     else:
-        if dec is None:
-            dec = decompose(sys) if rank_tol is None else decompose(sys, rank_tol)
-        sigmas, ok = sigma_Ta_samples(dec, omegas, tau)
+        sigmas, ok = sigma_Ta_samples(decompose(sys), omegas, tau)
     gaps = tuple(
         (float(w), "singular matrix (near characteristic root)")
         for w in omegas[~ok]

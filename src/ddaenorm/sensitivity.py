@@ -14,14 +14,13 @@ alternative.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DdaeError, DimensionError
+from .fileio import _write_csv, _write_json
 from .norms import hinf_norm_T, strong_norm_Ta
 from .system_model import BlockDecomposition, DdaeSystem, decompose
 
@@ -73,8 +72,8 @@ class PerturbationStudy:
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.scheme not in ("deterministic-rational", "random-uniform"):
             raise ValueError(f"unknown sampling scheme {self.scheme!r}")
         if self.count < 1:
@@ -97,27 +96,14 @@ class PerturbationStudy:
         }
 
     def to_json(self, path=None):
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return _write_json(self.to_dict(), path)
 
     def to_csv(self, path_or_buf) -> None:
-        m = self.tau.size
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow([f"tau_{i + 1}" for i in range(m)]
-                            + ["hinf", "peak_omega", "status"])
-            for r in self.records:
-                writer.writerow([repr(float(t)) for t in r.tau_sample]
-                                + [repr(float(r.hinf)), repr(float(r.peak_omega)), r.status])
-        finally:
-            if own:
-                fh.close()
+        header = [f"tau_{i + 1}" for i in range(self.tau.size)] + ["hinf", "peak_omega", "status"]
+        _write_csv(path_or_buf, header,
+                   ([repr(float(t)) for t in r.tau_sample]
+                    + [repr(float(r.hinf)), repr(float(r.peak_omega)), r.status]
+                    for r in self.records))
 
 
 def sample_delays(study: PerturbationStudy) -> list:

@@ -12,7 +12,6 @@ separates the dynamics into a delay differential part and a delay difference
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -101,7 +100,7 @@ class DdaeSystem:
     C : (p_out, n) array
         Output matrix (a 1-D vector is treated as a single row).
     tau : sequence of float
-        Strictly positive delays, one per delayed coefficient.
+        Finite, strictly positive delays, one per delayed coefficient.
     """
 
     E: np.ndarray
@@ -136,8 +135,7 @@ class DdaeSystem:
             raise DimensionError(
                 f"tau has {tau.size} entries for {len(A) - 1} delayed coefficients"
             )
-        if tau.size and tau.min() <= 0.0:
-            raise ValueError("delays must be strictly positive")
+        _check_delays(tau)
         for arr in (E, *A, B, C, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "E", E)
@@ -161,6 +159,12 @@ class DdaeSystem:
     @property
     def p_out(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def pencil_basis(self) -> np.ndarray:
+        """The map of :func:`_pencil_basis` for ``j w E - A_0 - sum A_i e^{-j w tau_i}``,
+        built on first use."""
+        return _pencil_basis(self.A, self.E)
 
 
 def nullspace_bases(E, rank_tol: float = DEFAULT_RANK_TOL):
@@ -200,7 +204,8 @@ class BlockDecomposition:
     ``A21`` are the cross couplings.  ``E11 = Uperp^T E Vperp`` is invertible
     by construction.  The decomposition carries no delay values: everything
     here depends on the coefficient matrices only, so the grid quantities
-    :attr:`gamma_a` and :attr:`torus_sigma_min` are computed once, on first use.
+    :attr:`gamma_a` and :attr:`torus_sigma_min`, and the pencil map
+    :attr:`pencil_basis`, are computed once, on first use.
     """
 
     U: np.ndarray
@@ -248,7 +253,13 @@ class BlockDecomposition:
         the default grid of :attr:`gamma_a` (``sigma_min(A22[0])`` for m = 0)."""
         if self.m == 0:
             return _sigma_min(self.A22[0])
-        return _min_sigma(self.A22, thetas=_torus_grid(self.m, _default_diff_grid(self.m)))
+        return _min_sigma(self.pencil_basis,
+                          thetas=_torus_grid(self.m, _default_diff_grid(self.m)))
+
+    @cached_property
+    def pencil_basis(self) -> np.ndarray:
+        """The map of :func:`_pencil_basis` for ``A22`` (the torus matrix), built on first use."""
+        return _pencil_basis(self.A22)
 
 
 def decompose(sys: DdaeSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BlockDecomposition:
@@ -347,88 +358,88 @@ def _default_diff_grid(m: int) -> int:
 
 
 def _resolve_tau(tau, m: int) -> np.ndarray:
+    """A delay override as a vector of ``m`` delays, checked as :class:`DdaeSystem` checks tau."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.size != m:
         raise DimensionError(f"expected {m} delays, got {tau.size}")
+    _check_delays(tau)
     return tau
 
 
-def _pencil_map(fn, A, *, E=None, omegas=None, tau=None, thetas=None, rhs=0) -> list:
+def _check_delays(tau) -> None:
+    """``ValueError`` naming ``tau`` unless every delay is finite and positive."""
+    if not (np.isfinite(tau) & (tau > 0.0)).all():
+        raise ValueError(f"tau must hold finite, strictly positive delays, got {tau.tolist()}")
+
+
+def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0) -> list:
     """Apply ``fn`` to pencil stacks over consecutive chunks of the samples.
 
-    Sample ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
+    ``S`` is the map of :func:`_pencil_basis`, built once per system.  Sample
+    ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
     ``theta_k = omegas[k] * tau`` on the frequency axis, else ``thetas[k]`` on
-    the torus; ``lam_k = 1j*omegas[k]``, and without ``E`` the term is dropped
-    (the torus matrix of the algebraic block).  The coefficients must be real:
-    a complex one with a nonzero imaginary part raises ``ValueError``.  Each
-    chunk's stack, together with the ``rhs`` solution columns per sample that
-    ``fn`` allocates, holds at most ``_STACK_BYTES`` (and at least one sample),
-    so memory stays bounded however long the grid.  Every chunk is one product
-    with the real map of :func:`_pencil_basis`, built once per call (see
-    :func:`_pencil_stack`).  Returns the ``fn`` results in sample order.
+    the torus; ``lam_k = 1j*omegas[k]``, and a map built without ``E`` drops
+    the term (the torus matrix of the algebraic block).  Each chunk's stack,
+    together with the ``rhs`` solution columns per sample that ``fn``
+    allocates, holds at most ``_STACK_BYTES`` (and at least one sample), so
+    memory stays bounded however long the grid.  Every chunk, a lone sample
+    included, is one product with ``S`` (see :func:`_pencil_stack`).  Returns
+    the ``fn`` results in sample order.
     """
-    A = tuple(_real_coefficient(Ai) for Ai in A)
-    n = A[0].shape[0]
+    n = math.isqrt(S.shape[1] // 2)
     count = len(thetas) if omegas is None else len(omegas)
-    if count == 1:  # a search step with one open bracket: scalar phases beat a one-deep stack
-        M = np.negative(A[0], dtype=complex) if E is None else 1j * float(omegas[0]) * E - A[0]
-        for i, t in enumerate((thetas[0] if omegas is None else omegas[0] * tau).tolist(), 1):
-            M -= cmath.exp(-1j * t) * A[i]
-        return [fn(M[None])]
-    S = _pencil_basis(A, None if E is None else _real_coefficient(E))
     step = max(_STACK_BYTES // (16 * max(n * (n + rhs), 1)), 1)
     out = []
     for lo in range(0, max(count, 1), step):
         sl = slice(lo, lo + step)
         if omegas is None:
-            out.append(fn(_pencil_stack(S, n, None, thetas[sl])))
+            out.append(fn(_pencil_stack(S, n, thetas[sl])))
         else:
-            w = None if E is None else omegas[sl]
-            out.append(fn(_pencil_stack(S, n, w, omegas[sl, None] * tau)))
+            out.append(fn(_pencil_stack(S, n, omegas[sl, None] * tau, omegas[sl])))
     return out
 
 
-def _real_coefficient(M) -> np.ndarray:
-    """``M`` itself, or the real part of a complex ``M`` whose imaginary part is zero."""
-    if M.dtype.kind != "c":
-        return M
-    if M.imag.any():
-        raise ValueError("pencil coefficients must be real")
-    return M.real
-
-
-def _pencil_basis(A, E) -> np.ndarray:
-    """The real ``(K, 2 n^2)`` map of :func:`_pencil_stack`.
+def _pencil_basis(A, E=None) -> np.ndarray:
+    """The real, read-only ``(K, 2 n^2)`` map of :func:`_pencil_stack`.
 
     ``-A[0]`` and ``-A[1..m]`` fill the even (real-part) columns of the first
     ``m + 1`` rows; ``E`` (when given) and ``A[1..m]`` the odd (imaginary-part)
     columns of the others, so that the coefficient row
     ``[1, cos theta_1..m, omega, sin theta_1..m]`` maps to the float64 view of
-    ``j omega E - A[0] - sum_i A[i] e^{-j theta_i}``.
+    ``j omega E - A[0] - sum_i A[i] e^{-j theta_i}``; ``K`` is ``2 m + 2`` with
+    ``E`` and ``2 m + 1`` without.  The coefficients must be real: a complex
+    one with a nonzero imaginary part raises ``ValueError`` (a zero one is
+    dropped).
     """
     imag = A[1:] if E is None else (E, *A[1:])
+    if any(np.iscomplexobj(M) and M.imag.any() for M in (*A, *imag)):
+        raise ValueError("pencil coefficients must be real")
     S = np.zeros((len(A) + len(imag), *A[0].shape, 2))
     for k, Ak in enumerate(A):
-        S[k, ..., 0] = -Ak
+        S[k, ..., 0] = -Ak.real
     for k, Mk in enumerate(imag, len(A)):
-        S[k, ..., 1] = Mk
-    return S.reshape(len(S), -1)
+        S[k, ..., 1] = Mk.real
+    S = S.reshape(len(S), -1)
+    S.setflags(write=False)
+    return S
 
 
-def _pencil_stack(S, n, omegas, theta) -> np.ndarray:
+def _pencil_stack(S, n, theta, omegas=None) -> np.ndarray:
     """One chunk of :func:`_pencil_map`: one stacked product with the map ``S``.
 
     The ``(N, 1, K)`` coefficient rows times ``S`` are written straight into
-    the float64 view of the complex stack, with no stack-sized temporary.  The
-    stacked form makes the same small product for every sample, where a 2-D
-    product of a one-row chunk would take another BLAS routine, so results do
-    not depend on where the chunks split.
+    the float64 view of the complex stack, with no stack-sized temporary; the
+    ``omegas`` row is there only when ``S`` has one for ``E``.  The stacked
+    form makes the same small product for every sample, whether it is alone
+    or in a chunk of any length, where a 2-D product of a one-row chunk would
+    take another BLAS routine, so the stacks do not depend on where the chunks
+    split.
     """
     N, m = theta.shape
     X = np.empty((N, len(S)))
     X[:, 0] = 1.0
     np.cos(theta, out=X[:, 1:m + 1])
-    if omegas is not None:
+    if len(S) > 2 * m + 1:
         X[:, m + 1] = omegas
     np.sin(theta, out=X[:, len(S) - m:])
     M = np.empty((N, n, n), dtype=complex)
@@ -436,10 +447,10 @@ def _pencil_stack(S, n, omegas, theta) -> np.ndarray:
     return M
 
 
-def _min_sigma(A, **samples) -> float:
+def _min_sigma(S, **samples) -> float:
     """Smallest singular value of the pencil over all samples (see :func:`_pencil_map`)."""
     return min(_pencil_map(lambda M: float(np.linalg.svd(M, compute_uv=False)[:, -1].min()),
-                           A, **samples))
+                           S, **samples))
 
 
 def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None = None) -> float:
@@ -491,24 +502,19 @@ def _difference_radius(dec: BlockDecomposition, g: int) -> float:
     # With a zero constant term and the delay terms F_i = -A22[0]^{-1} A22[i],
     # solved once, the pencil is A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}.
     A0 = dec.A22[0]
-    A = (np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
+    S = _pencil_basis((np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:]))
     thetas = _torus_grid(dec.m, g)
-    # Parts of at most _BOUND_PART samples keep the squarings' stacks small; no
-    # part has a single sample unless the grid does, so every part is assembled
-    # the way the eigvals batches are.
+    # Parts of at most _BOUND_PART samples keep the squarings' stacks small.
     parts = np.array_split(thetas, -(-len(thetas) // _BOUND_PART))
     bound = np.concatenate([b for part in parts for b in _pencil_map(
-        _radius_bound, A, thetas=part, rhs=2 * A0.shape[0])])
+        _radius_bound, S, thetas=part, rhs=2 * A0.shape[0])])
     order = np.argsort(-bound, kind="stable")
     best = -math.inf
     for lo in range(0, order.size, _EIG_BATCH):
         if bound[order[lo]] <= best:
             break
-        batch = order[lo:lo + _EIG_BATCH]
-        if batch.size == 1 < order.size:  # one sample alone would be assembled another way
-            batch = order[lo - 1:lo + 1]
-        best = max(best, *_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), A,
-                                      thetas=thetas[batch]))
+        best = max(best, *_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), S,
+                                      thetas=thetas[order[lo:lo + _EIG_BATCH]]))
     return float(best)
 
 
@@ -560,7 +566,7 @@ def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, 
     omega_max = _omega_max(omega_max)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.linspace(0.0, omega_max, count)
-    return _min_sigma(sys.A, E=sys.E, omegas=omegas, tau=tau)
+    return _min_sigma(sys.pencil_basis, omegas=omegas, tau=tau)
 
 
 def _omega_max(value) -> float:

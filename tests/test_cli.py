@@ -183,6 +183,12 @@ class TestPerturb:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
+    def test_infinite_epsilon_usage_error(self, sys_a_file, tmp_path, capsys):
+        code = main(["perturb", sys_a_file, "--epsilon", "inf", "--scheme", "random-uniform",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
+
 
 class TestBuild:
     def test_example_feedback_loop_round_trips_through_check(self, tmp_path):

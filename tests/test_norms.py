@@ -25,7 +25,7 @@ from ddaenorm import (
     system_model,
 )
 from ddaenorm.response import sigma_Ta_samples, sigma_Ta_torus_samples
-from ddaenorm.system_model import _min_sigma, _pencil_map, _torus_grid
+from ddaenorm.system_model import _min_sigma, _pencil_basis, _pencil_map, _torus_grid
 from conftest import (
     _orthogonal,
     brute_hinf_formula,
@@ -206,7 +206,7 @@ class TestHinfNorm:
 
     @pytest.mark.parametrize("option, value", [
         ("scan_density", 0), ("scan_density", -3), ("max_scan_points", 1),
-        ("bisect_tol", -1e-3), ("bisect_tol", float("nan")), ("max_iter", 0),
+        ("bisect_tol", -1e-3), ("bisect_tol", float("nan")),
     ])
     def test_out_of_range_option_rejected(self, sys_a, option, value):
         with pytest.raises(ValueError, match=option):
@@ -443,6 +443,19 @@ class TestEvaluationCounts:
         strong_hinf_norm_T(sys_a)
         assert counts == {"_difference_radius": 1, "_min_sigma": 1, "_block_norm_sums": 1}
 
+    def test_pencil_maps_built_once(self, monkeypatch):
+        built = Counter()
+        real = system_model._pencil_basis
+        monkeypatch.setattr(system_model, "_pencil_basis",
+                            lambda *args: built.update(["map"]) or real(*args))
+        sys = make_sys_a()
+        dec = decompose(sys)
+        first = strong_hinf_norm_T(sys, dec)
+        assert built["map"] <= 3  # the system's, the torus matrix's and gamma_a's
+        built.clear()
+        assert strong_hinf_norm_T(sys, dec) == first
+        assert built["map"] == 0
+
     def test_each_decomposition_has_its_own_gamma_a(self, sys_a, sys_b, counts):
         dec_a, dec_b = decompose(sys_a), decompose(sys_b)
         assert dec_a.gamma_a == pytest.approx(0.75, abs=1e-12)
@@ -650,11 +663,11 @@ class TestHalfTorusMatchesFullGrid:
         for grid, gamma, smin in (
             (g_diff, dec.gamma_a, dec.torus_sigma_min),
             (g_odd, check_difference_stability(dec, grid_per_dim=g_odd),
-             _min_sigma(dec.A22, thetas=_torus_grid(m, g_odd))),
+             _min_sigma(dec.pencil_basis, thetas=_torus_grid(m, g_odd))),
         ):
             full = _full_torus_grid(m, grid)
             radii = _pencil_map(
                 lambda M: np.abs(np.linalg.eigvals(np.linalg.solve(-A0, M))).max(),
-                (np.zeros_like(A0),) + dec.A22[1:], thetas=full)
+                _pencil_basis((np.zeros_like(A0),) + dec.A22[1:]), thetas=full)
             assert gamma == pytest.approx(max(radii), rel=1e-14)
-            assert smin == pytest.approx(_min_sigma(dec.A22, thetas=full), rel=1e-14)
+            assert smin == pytest.approx(_min_sigma(dec.pencil_basis, thetas=full), rel=1e-14)

@@ -15,7 +15,7 @@ from ddaenorm import (
     strong_norm_Ta,
     sweep,
 )
-from conftest import formula_T, make_sys_a
+from conftest import dense_stable_system, formula_T, make_sys_a
 
 
 class TestFrequencyGrid:
@@ -255,6 +255,38 @@ class TestPencilKernel:
                 assert ok1[0]
                 np.testing.assert_allclose(one[0], row, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("make", [
+        make_sys_a,
+        lambda: dense_stable_system(1, 10),        # 2 inputs, 2 outputs
+        lambda: dense_stable_system(1, 10, nu=8),  # the nu = 8 torus system
+    ], ids=["SYS-A", "n10", "nu8"])
+    def test_one_point_is_bit_identical_to_batched(self, make):
+        from ddaenorm.response import _transfer, sigma_T_samples, sigma_Ta_torus_samples
+        from ddaenorm.system_model import _pencil_map
+        sys = make()
+        dec = decompose(sys)
+        rng = np.random.default_rng(27)
+        omegas = rng.uniform(0.0, 50.0, 200)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (200, dec.m))
+
+        def transfers(S, B, C, **samples):
+            parts = _pencil_map(lambda M: _transfer(M, B, C), S, **samples)
+            assert all(ok.all() for _, ok, _ in parts)
+            return np.concatenate([T for T, _, _ in parts])
+
+        cases = [
+            (lambda x: sigma_T_samples(sys, x), lambda x: eval_T(sys, x), omegas,
+             transfers(sys.pencil_basis, sys.B, sys.C, omegas=omegas, tau=sys.tau)),
+            (lambda x: sigma_Ta_torus_samples(dec, x), lambda x: eval_Ta_torus(dec, x), thetas,
+             transfers(dec.pencil_basis, dec.B2, dec.C2, thetas=thetas)),
+        ]
+        for sample, evaluate, points, T in cases:
+            batched, ok = sample(points)
+            assert ok.all()
+            for point, row, T_k in zip(points, batched, T):
+                np.testing.assert_array_equal(sample(np.asarray(point)[None])[0][0], row)
+                np.testing.assert_array_equal(evaluate(point), T_k)
+
     def test_one_point_matches_scalar_evaluators(self):
         from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
         rng = np.random.default_rng(22)
@@ -277,10 +309,11 @@ class TestPencilKernel:
 
     def test_mixed_singular_torus_stack(self):
         from ddaenorm.response import _sample
+        from ddaenorm.system_model import _pencil_basis
         # -A0 - A1 e^{-j theta} = 1 - e^{-j theta} vanishes at theta = 0 only.
-        A = (-np.eye(1), np.eye(1))
+        S = _pencil_basis((-np.eye(1), np.eye(1)))
         thetas = np.array([[0.0], [1.0], [0.0], [3.0]])
-        sig, ok = _sample(A, np.ones((1, 1)), np.ones((1, 1)), thetas=thetas)
+        sig, ok = _sample(S, np.ones((1, 1)), np.ones((1, 1)), thetas=thetas)
         np.testing.assert_array_equal(ok, [False, True, False, True])
         assert np.isnan(sig[~ok]).all()
         np.testing.assert_allclose(sig[ok, 0], 1.0 / np.abs(1.0 - np.exp(-1j * thetas[ok, 0])),
@@ -353,10 +386,10 @@ class TestPencilKernel:
         np.testing.assert_allclose(sig, want, rtol=1e-14)
 
 
-def pencil_stacks(A, **samples):
+def pencil_stacks(A, E=None, **samples):
     """Every stack ``_pencil_map`` assembles for these samples, in sample order."""
-    from ddaenorm.system_model import _pencil_map
-    return np.concatenate(_pencil_map(lambda M: M.copy(), A, **samples))
+    from ddaenorm.system_model import _pencil_basis, _pencil_map
+    return np.concatenate(_pencil_map(lambda M: M.copy(), _pencil_basis(A, E), **samples))
 
 
 def assembly_cases(rng, n, m, count):
@@ -407,7 +440,7 @@ class TestPencilAssembly:
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_complex_coefficients(self, count):
-        from ddaenorm.system_model import _pencil_map
+        from ddaenorm.system_model import _pencil_basis
         rng = np.random.default_rng(33)
         A, cases = assembly_cases(rng, 3, 2, count)
         samples = cases[2][0]  # the torus
@@ -417,7 +450,7 @@ class TestPencilAssembly:
                                       pencil_stacks(A, **samples))
         nonreal = (A[0], A[1] + 1e-3j * A[1], A[2])
         with pytest.raises(ValueError, match="real"):
-            _pencil_map(lambda M: M, nonreal, **samples)
+            _pencil_basis(nonreal)
 
 
 def near_singular_stack(rng, n, count):

@@ -77,6 +77,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             PerturbationStudy(tau=[1.0], epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            PerturbationStudy(tau=[1.0], epsilon=epsilon, scheme="random-uniform")
+
 
 class TestStudies:
     def test_covers_first_rational_perturbation(self, sys_a):

@@ -13,12 +13,39 @@ from ddaenorm import (
     check_assumption1,
     check_difference_stability,
     decompose,
+    eval_T,
+    hinf_norm_T,
     imaginary_axis_margin,
     nullspace_bases,
+    strong_hinf_norm_T,
+    system_model,
     validate_system,
 )
-from ddaenorm.system_model import _pencil_map, _torus_grid
+from ddaenorm.response import sigma_T_samples
+from ddaenorm.system_model import _pencil_basis, _pencil_map, _torus_grid
 from conftest import make_sys_a, three_delay_system
+
+
+class TestDelays:
+    """Delay overrides are checked as ``DdaeSystem.tau`` is."""
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_delay_rejected(self, sys_a, bad):
+        tau = [bad, 2.0]
+        calls = [
+            lambda: make_sys_a(tau),
+            lambda: eval_T(sys_a, 1.0, tau),
+            lambda: sigma_T_samples(sys_a, [1.0], tau),
+            lambda: hinf_norm_T(sys_a, tau=tau),
+            lambda: strong_hinf_norm_T(sys_a, tau=tau),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^tau must hold finite, strictly positive"):
+                call()
+
+    def test_no_delays_pass(self):
+        sys = DdaeSystem(E=np.eye(1), A=(-np.eye(1),), B=[1.0], C=[1.0], tau=[])
+        assert eval_T(sys, 0.0, tau=[])[0, 0] == 1.0
 
 
 class TestNullspaceBases:
@@ -179,8 +206,8 @@ def _whole_grid_radius(dec, g):
     """gamma_a with ``eigvals`` on every sample of the grid."""
     A0 = dec.A22[0]
     A = (np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
-    return float(max(_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), A,
-                                 thetas=_torus_grid(dec.m, g))))
+    return float(max(_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(),
+                                 _pencil_basis(A), thetas=_torus_grid(dec.m, g))))
 
 
 @st.composite
@@ -233,6 +260,13 @@ class TestPrunedDifferenceRadius:
         monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(len(M)) or real(M))
         decompose(make()).gamma_a
         assert seen == samples
+
+    @pytest.mark.parametrize("make, g", [(make_sys_a, 64), (three_delay_system, 24)],
+                             ids=["SYS-A", "m3"])
+    def test_one_sample_eigvals_batches(self, monkeypatch, make, g):
+        monkeypatch.setattr(system_model, "_EIG_BATCH", 1)
+        dec = decompose(make())
+        assert check_difference_stability(dec) == _whole_grid_radius(dec, g)
 
 
 class TestValidateSystem:
