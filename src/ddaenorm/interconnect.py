@@ -14,6 +14,7 @@ blocks dropped, and zero delays folded into the undelayed coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ def _mat(M, name, rows=None, cols=None):
     if cols is not None and M.shape[1] != cols:
         raise DimensionError(f"{name} must have {cols} columns, got {M.shape[1]}")
     return M
+
+
+def _delay(name, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless finite and positive."""
+    tau = float(value)
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"{name} must be finite and strictly positive, got {tau!r}")
+    return tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +203,7 @@ def absorb_io_delay(sys: DdaeSystem, which: str, matrix, tau_new: float) -> Ddae
     ``which="output"`` realizes ``z = C_old x(t) + matrix * x(t - tau)`` with
     an output slack ``gamma_z = matrix * x(t - tau)``.
     """
-    if float(tau_new) <= 0.0:
-        raise ValueError("tau_new must be strictly positive")
+    tau_new = _delay("tau_new", tau_new)
     n = sys.n
     if which == "input":
         M = _mat(matrix, "matrix", rows=n, cols=sys.p_in)
@@ -216,7 +224,7 @@ def absorb_io_delay(sys: DdaeSystem, which: str, matrix, tau_new: float) -> Ddae
         Anew[n:, :n] = M
         B = np.vstack([sys.B, np.zeros((k, sys.p_in))])
         C = np.hstack([sys.C, np.eye(k)])
-    delayed = list(zip(sys.tau.tolist(), A[1:])) + [(float(tau_new), Anew)]
+    delayed = list(zip(sys.tau.tolist(), A[1:])) + [(tau_new, Anew)]
     A_list, tau = _canonical_terms(A[0], delayed)
     return DdaeSystem(E=E, A=tuple(A_list), B=B, C=C, tau=tau)
 
@@ -238,8 +246,7 @@ def from_neutral(D, tau1: float, A0, A1, tau2: float, B, C) -> DdaeSystem:
     A1 = _mat(A1, "A1", rows=n, cols=n)
     B = _mat(B, "B", rows=n)
     C = _mat(C, "C", cols=n)
-    if float(tau1) <= 0.0 or float(tau2) <= 0.0:
-        raise ValueError("delays must be strictly positive")
+    tau1, tau2 = _delay("tau1", tau1), _delay("tau2", tau2)
     N = 2 * n
     E = np.zeros((N, N))
     E[:n, n:] = np.eye(n)
@@ -251,7 +258,7 @@ def from_neutral(D, tau1: float, A0, A1, tau2: float, B, C) -> DdaeSystem:
     Ad1[n:, :n] = D
     Ad2 = np.zeros((N, N))
     Ad2[:n, :n] = A1
-    A_list, tau = _canonical_terms(A0_new, [(float(tau1), Ad1), (float(tau2), Ad2)])
+    A_list, tau = _canonical_terms(A0_new, [(tau1, Ad1), (tau2, Ad2)])
     B_new = np.vstack([B, np.zeros((n, B.shape[1]))])
     C_new = np.hstack([C, np.zeros((C.shape[0], n))])
     return DdaeSystem(E=E, A=tuple(A_list), B=B_new, C=C_new, tau=tau)

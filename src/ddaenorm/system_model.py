@@ -13,6 +13,7 @@ separates the dynamics into a delay differential part and a delay difference
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -472,7 +473,17 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     """
     if dec.m == 0:
         return 0.0
-    return dec.gamma_a if grid_per_dim is None else _difference_radius(dec, grid_per_dim)
+    if grid_per_dim is None:
+        return dec.gamma_a
+    return _difference_radius(dec, _integral("grid_per_dim", grid_per_dim))
+
+
+def _integral(name: str, value) -> int:
+    """``value`` by ``operator.index``; ``ValueError`` naming ``name`` if it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _difference_radius(dec: BlockDecomposition, g: int) -> float:

@@ -252,7 +252,22 @@ class TestAbsorbIoDelay:
             absorb_io_delay(sys, "input", [[1.0]], 0.0)
 
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0])
+    def test_rejects_nonfinite_delay_by_name(self, tau):
+        sys = DdaeSystem(E=np.eye(1), A=([[-1.0]],), B=[[1.0]], C=[[1.0]], tau=[])
+        with pytest.raises(ValueError, match="^tau_new must be finite and strictly positive"):
+            absorb_io_delay(sys, "input", [[1.0]], tau)
+
+
 class TestFromNeutral:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["tau1", "tau2"])
+    def test_rejects_nonfinite_delay_by_name(self, name, tau):
+        delays = {"tau1": 1.0, "tau2": 2.0, name: tau}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+            from_neutral([[0.5]], delays["tau1"], [[-2.0]], [[0.5]], delays["tau2"],
+                         [[1.0]], [[1.0]])
+
     def test_zero_neutral_term_gives_retarded_system(self):
         A0, A1 = [[-2.0]], [[0.5]]
         sys = from_neutral([[0.0]], 1.0, A0, A1, 2.0, [[1.0]], [[1.0]])

@@ -95,6 +95,20 @@ class TestStrongNormTa:
         res = strong_norm_Ta(decompose(sys), grid_per_dim=4)
         assert res.value > 0.0
 
+    @pytest.mark.parametrize("g, message", [
+        (130.5, "grid_per_dim must be an integer, got 130.5"),
+        (64.0, "grid_per_dim must be an integer, got 64.0"),
+        ("64", "grid_per_dim must be an integer, got '64'"),
+        (True, "grid_per_dim must be at least 2"),
+    ])
+    def test_non_integral_grid_rejected(self, sys_a, g, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            strong_norm_Ta(decompose(sys_a), grid_per_dim=g)
+
+    def test_integral_grid_accepted(self, sys_a):
+        dec = decompose(sys_a)
+        assert strong_norm_Ta(dec, grid_per_dim=np.int64(41)) == strong_norm_Ta(dec, 41)
+
     def test_unbounded_when_difference_part_unstable(self):
         # gamma_a > 1: a torus point makes A22 singular.
         sys = DdaeSystem(E=np.zeros((1, 1)), A=([[1.0]], [[-1.0]]), B=[[1.0]],
@@ -556,32 +570,95 @@ class TestTorusEvaluations:
         assert seen[0] == 1_300  # one centre per 8 x 8 cell that holds half-grid rows: 26 * 50
         # the pruned sweep, of the (400**2 + 2**2) / 2 = 80,002 rows of the half grid
         assert seen[1] == rows == res.diagnostics["grid_points"]
-        assert sum(seen) == 1_300 + rows + 72
-        assert len(seen) == 68
+        # one 5-point stencil: the grid maximum is a critical point, so the ascent stops there
+        assert sum(seen) == 1_300 + rows + 5
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("make, most", [
+        (make_sys_a, 20),
+        (make_sys_b, 20),
+        (three_delay_system, 30),
+        (lambda: dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0)), 30),
+    ], ids=["SYS-A", "SYS-B", "three-delay", "nu4-m3"])
+    def test_polish_calls(self, monkeypatch, make, most):
+        seen = []
+        real = norms.sigma_Ta_torus_samples
+
+        def counted(dec, thetas):
+            seen.append(len(thetas))
+            return real(dec, thetas)
+
+        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
+        dec = decompose(make())
+        res = strong_norm_Ta(dec)
+        sweep = seen.index(res.diagnostics["grid_points"])  # after the centres of a pruned grid
+        polish = seen[sweep + 1:]
+        assert len(polish) == res.diagnostics["refine_cycles"] <= most
+        stencil = dec.m * (dec.m + 3) // 2
+        assert set(polish) <= {stencil, stencil + 1}  # a stencil, with the candidate or without
+        first = seen[:]
+        seen.clear()
+        assert strong_norm_Ta(dec).value == res.value
+        assert seen == first
 
 
-@st.composite
-def _algebraic_systems(draw):
-    """E = 0 systems with m = 2 whose torus function is smooth, sharply peaked
-    (gamma_a near 1), symmetric in the two phases (tied maxima) or flat to
-    rounding (delay terms of relative size 1e-16)."""
-    nu, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["random", "near-one", "tied", "flat"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _algebraic_system(kind, nu, p, seed, m=2):
+    """Seeded E = 0 system with ``m`` delays whose torus function is smooth,
+    sharply peaked (gamma_a near 1), symmetric in the phases (tied maxima) or
+    flat to rounding (delay terms of relative size 1e-16)."""
+    rng = np.random.default_rng(seed)
     A0 = _orthogonal(rng, nu) @ np.diag(rng.uniform(0.8, 1.6, nu)) @ _orthogonal(rng, nu).T
     R = rng.standard_normal((nu, nu))
     F = np.linalg.solve(A0, R)
-    if kind == "near-one":  # F(theta) = F (e^{-j theta_1} + c e^{-j theta_2}): radius up to 0.999
-        c = rng.uniform(0.2, 1.0)
-        A = [A0, R, c * R]
-        scale = 0.999 / (np.abs(np.linalg.eigvals(F)).max() * (1.0 + c))
+    if kind == "near-one":  # F(theta) = F (e^{-j theta_1} + sum_k c_k e^{-j theta_k}),
+        # spectral radius up to 0.999
+        c = [rng.uniform(0.2, 1.0) for _ in range(m - 1)]
+        A = [A0, R] + [ck * R for ck in c]
+        scale = 0.999 / (np.abs(np.linalg.eigvals(F)).max() * (1.0 + sum(c)))
     else:
-        A = [A0, R, R if kind == "tied" else rng.standard_normal((nu, nu))]
+        A = [A0, R] + [R if kind == "tied" else rng.standard_normal((nu, nu))
+                       for _ in range(m - 1)]
         gain = 3e-16 if kind == "flat" else rng.uniform(0.2, 0.9)
         scale = gain / sum(np.linalg.norm(np.linalg.solve(A0, Ai), 2) for Ai in A[1:])
     A[1:] = [Ai * scale for Ai in A[1:]]
     return DdaeSystem(E=np.zeros((nu, nu)), A=tuple(A), B=rng.standard_normal((nu, p)),
-                      C=rng.standard_normal((p, nu)), tau=[1.0, 2.0])
+                      C=rng.standard_normal((p, nu)), tau=[1.0, 2.0, 3.0][:m])
+
+
+@st.composite
+def _algebraic_systems(draw, m=2):
+    """:func:`_algebraic_system` with a drawn kind, size and seed."""
+    nu, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "near-one", "tied", "flat"]))
+    return _algebraic_system(kind, nu, p, draw(st.integers(0, 2**32 - 1)), m)
+
+
+class TestTorusAscent:
+    """The polish of the torus maximum ends at a local maximum above the grid's."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.one_of(_algebraic_systems(1), _algebraic_systems(2), _algebraic_systems(3)))
+    def test_local_maximum(self, sys):
+        dec = decompose(sys)
+        m = dec.m
+        res = strong_norm_Ta(dec, grid_per_dim={1: 64, 2: 48, 3: 16}[m])
+        value, at = res.value, np.array(res.attained_at)
+        assert value >= res.diagnostics["grid_max"]
+        [again] = sigma_Ta_torus_samples(dec, at[None])[0][:, 0]
+        assert again == pytest.approx(value, rel=1e-12)
+        eye = np.eye(m)
+        i, j = np.triu_indices(m, 1)
+        unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
+                               eye[j] - eye[i], -eye[i] - eye[j]])
+        stencil = at + np.concatenate([r * unit for r in (1e-6, 1e-5, 1e-4, 1e-3)])
+        assert sigma_Ta_torus_samples(dec, stencil)[0][:, 0].max() <= value * (1.0 + 1e-12)
+
+    def test_ridge_beyond_the_coordinate_ascent(self):
+        # A sharp ridge on which the coordinate-wise golden-section ascent
+        # stopped after 1,240 calls at 2122.741053939958.
+        res = strong_norm_Ta(decompose(_algebraic_system("near-one", 2, 2, 1001)))
+        assert res.value >= 2122.741053939958
+        assert res.diagnostics["refine_cycles"] <= 30
 
 
 def _grid_index(thetas, g):

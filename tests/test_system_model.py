@@ -187,6 +187,12 @@ class TestDifferenceStability:
         with pytest.raises(AssumptionError):
             check_difference_stability(decompose(sys))
 
+    @pytest.mark.parametrize("g", [130.5, 16.0, "16"])
+    def test_non_integral_grid_rejected(self, sys_a, g):
+        message = f"grid_per_dim must be an integer, got {g!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_difference_stability(decompose(sys_a), grid_per_dim=g)
+
     def test_monotone_under_grid_doubling(self, sys_a):
         dec = decompose(sys_a)
         values = [check_difference_stability(dec, grid_per_dim=g)
