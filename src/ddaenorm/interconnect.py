@@ -14,13 +14,12 @@ blocks dropped, and zero delays folded into the undelayed coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .system_model import DdaeSystem
+from .system_model import DdaeSystem, _check_delays
 
 __all__ = [
     "PlantBlock",
@@ -49,14 +48,6 @@ def _mat(M, name, rows=None, cols=None):
     if cols is not None and M.shape[1] != cols:
         raise DimensionError(f"{name} must have {cols} columns, got {M.shape[1]}")
     return M
-
-
-def _delay(name, value) -> float:
-    """``value`` as a float; ``ValueError`` naming ``name`` unless finite and positive."""
-    tau = float(value)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"{name} must be finite and strictly positive, got {tau!r}")
-    return tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +99,8 @@ class StaticDelayController:
     tau: float
 
     def __post_init__(self):
-        K = _mat(self.K, "K")
-        if self.tau < 0.0:
-            raise ValueError("controller delay must be nonnegative")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "K", _mat(self.K, "K"))
+        object.__setattr__(self, "tau", float(_check_delays(self.tau, zero=True)))
 
 
 def _canonical_terms(A0, delayed):
@@ -203,7 +191,7 @@ def absorb_io_delay(sys: DdaeSystem, which: str, matrix, tau_new: float) -> Ddae
     ``which="output"`` realizes ``z = C_old x(t) + matrix * x(t - tau)`` with
     an output slack ``gamma_z = matrix * x(t - tau)``.
     """
-    tau_new = _delay("tau_new", tau_new)
+    tau_new = float(_check_delays(tau_new, "tau_new"))
     n = sys.n
     if which == "input":
         M = _mat(matrix, "matrix", rows=n, cols=sys.p_in)
@@ -246,7 +234,7 @@ def from_neutral(D, tau1: float, A0, A1, tau2: float, B, C) -> DdaeSystem:
     A1 = _mat(A1, "A1", rows=n, cols=n)
     B = _mat(B, "B", rows=n)
     C = _mat(C, "C", cols=n)
-    tau1, tau2 = _delay("tau1", tau1), _delay("tau2", tau2)
+    tau1, tau2 = float(_check_delays(tau1, "tau1")), float(_check_delays(tau2, "tau2"))
     N = 2 * n
     E = np.zeros((N, N))
     E[:n, n:] = np.eye(n)

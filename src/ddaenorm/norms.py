@@ -7,8 +7,7 @@ Three quantities are computed:
   delay values at all, which is why :class:`BlockDecomposition` (and not a
   system plus delays) is its input.
 * ``hinf_norm_T`` -- the plain H-infinity norm of the transfer function for
-  fixed delays, by dense scanning plus a level-set iteration with golden
-  section polishing.
+  fixed delays, by a dense scan whose peaks a trust-region ascent polishes.
 * ``strong_hinf_norm_T`` -- their maximum, which is the smallest upper bound
   of the H-infinity norm that is insensitive to arbitrarily small delay
   perturbations, and is continuous in the delays (the plain norm is not).
@@ -30,11 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InstabilityError,
-    UnboundedNormError,
-)
+from .errors import InstabilityError, UnboundedNormError
 from .response import (
     sigma_T_samples,
     sigma_Ta_samples,
@@ -77,13 +72,11 @@ DEFAULT_MAX_SCAN_POINTS = 2_000_000
 COMMENSURATE_S_CAP = 20000
 COMMENSURATE_REL_TOL = 1e-9
 
-_MAX_LEVEL_ITER = 40
 # Step below which the strong-norm polish of a torus maximum stops.
 _REFINE_TOL = 1e-8
-# Stencil radius of that polish and its iteration (sampler call) cap.
+# Stencil radius of that polish, and the sampler call cap of every ascent.
 _STENCIL_RADIUS = 1e-5
 _MAX_ASCENT = 60
-_MAX_DENSIFY = 3
 # Inflation of the torus resolvent estimate in the high-frequency envelope.
 _BOUND_SAFETY = 2.0
 # The strong-norm sweep skips cells of _CELL grid steps per dimension that
@@ -139,54 +132,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # keep the JSON strictly parseable
     return obj
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_ULPS16 = 16.0 * float(np.finfo(float).eps)  # golden-section x tolerance floor, relative
-
-
-def _golden_section_max(f, lo, hi, xtol):
-    """Derivative-free maximization on the brackets ``[lo[k], hi[k]]`` in lockstep.
-
-    ``f`` maps an array of points to an array of values.  The first call holds
-    both ends and both interior points of every bracket; each later call holds
-    the one new point of every bracket still wider than its x tolerance, so a
-    search costs one ``f`` call per golden-section step, whatever the number
-    of brackets.  Each bracket runs the scalar search on Python floats (same
-    updates, strict ``>`` for the best point seen), so a single bracket costs
-    what a scalar search would.  Returns the arrays of best points and values.
-    The x tolerance is floored at a few ulps of the bracket location so the
-    shrink loop terminates even when ``xtol`` is below floating resolution.
-    """
-    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
-    if not lo:
-        return np.empty(0), np.empty(0)
-    tol = [max(xtol, _ULPS16 * max(abs(l), abs(h), 1.0)) for l, h in zip(lo, hi)]
-    a, b = lo[:], hi[:]
-    x1 = [r - _INVPHI * (r - l) for l, r in zip(a, b)]
-    x2 = [l + _INVPHI * (r - l) for l, r in zip(a, b)]
-    f_lo, f_hi, f1, f2 = (v.tolist() for v in np.split(f(np.array(lo + hi + x1 + x2)), 4))
-    best = [(r, fr) if fr > fl else (l, fl) for l, r, fl, fr in zip(lo, hi, f_lo, f_hi)]
-    live = range(len(lo))
-    while live := [k for k in live if b[k] - a[k] > tol[k]]:
-        up = [f1[k] < f2[k] for k in live]
-        for k, u in zip(live, up):
-            if u:
-                a[k], x1[k], f1[k] = x1[k], x2[k], f2[k]
-                x2[k] = a[k] + _INVPHI * (b[k] - a[k])
-            else:
-                b[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
-                x1[k] = b[k] - _INVPHI * (b[k] - a[k])
-        values = f(np.array([x2[k] if u else x1[k] for k, u in zip(live, up)])).tolist()
-        for k, u, value in zip(live, up, values):
-            if u:
-                f2[k] = value
-            else:
-                f1[k] = value
-            for x, fx in ((x1[k], f1[k]), (x2[k], f2[k])):
-                if fx > best[k][1]:
-                    best[k] = (x, fx)
-    return np.array([x for x, _ in best]), np.array([fx for _, fx in best])
 
 
 def _default_torus_points(m: int) -> int:
@@ -312,85 +257,105 @@ def _inverse_norms(M, B, C) -> np.ndarray:
     return np.stack([_frobenius(G), _frobenius(C @ G), _frobenius(G @ B)], axis=1)
 
 
-def _quadratic_ascent(dec: BlockDecomposition, theta, best: float, h: float):
-    """Trust-region ascent of torus ``sigma_1`` from ``theta``, where it is ``best``.
+def _ascent(f, x, best, delta, r, tol, lo=None, hi=None):
+    """Trust-region ascent of ``f`` from the starts ``x`` (K, m), where it is ``best``.
 
-    Each iteration is one sampler call.  A quadratic model of ``sigma_1`` at
-    ``theta`` comes from the ``m (m + 3) / 2``-point stencil ``theta +- r
-    e_i``, ``theta + r (e_i + e_j)`` (``i < j``), ``r = _STENCIL_RADIUS``:
+    ``f`` maps points (N, m) to values (N,), ``-inf`` where singular.  The K
+    starts run in lockstep, so each iteration is one ``f`` call, whatever K.
+    A quadratic model at a point comes from its value and the ``m (m + 3) /
+    2``-point stencil ``x +- r e_i``, ``x + r (e_i + e_j)`` (``i < j``):
     central differences give its gradient, second and mixed differences its
-    Hessian.  At ``r = 1e-5`` the rounding of a second difference, about
-    ``4 eps sigma_1 / r^2``, stays far below the curvature of any peak that
-    matters, and the truncation errors, O(r^2) in the gradient and O(r) in
-    the mixed terms, stay small even across ridges about 1e-3 wide, so the
-    point resolves to about ``_REFINE_TOL``.  The candidate maximises the
-    model within the trust radius ``delta`` (at first the grid step ``h``;
-    see :func:`_trust_step`): the Newton step where the model is concave and
-    the step fits, else a step of length about ``delta``.  One call holds the
-    candidate with its own stencil, which is the next model once the
-    candidate is accepted.  Only strict improvements are accepted.  An
-    accepted step that reaches the trust radius doubles ``delta`` (up to
-    pi), so the ascent follows ridges far narrower than their length; a
-    failed step sets ``delta`` to a quarter of its length.  The ascent stops
-    when the step or ``delta`` falls below ``_REFINE_TOL``, when a stencil
-    point is singular, or after ``_MAX_ASCENT`` calls.  Returns the point,
-    its value and the number of calls.
+    Hessian.  The candidate maximises the model within the trust radius, at
+    first ``delta`` (see :func:`_trust_step`), and is clipped to ``[lo,
+    hi]`` when these are given.  One call holds every live start's candidate
+    with its own stencil, which is the next model once the candidate is
+    accepted.  Only strict improvements are accepted, so the values never
+    fall below ``best``.  An accepted step that reaches the trust radius
+    doubles it (up to pi), so the ascent follows ridges far narrower than
+    their length; a rejected step sets it to a quarter of the step's length.
+    A start stops when its step or trust radius falls below ``tol`` or a
+    stencil point is singular, and all stop after ``_MAX_ASCENT`` calls.
+    Returns the points, their values and the number of calls.
     """
-    m, r = len(theta), _STENCIL_RADIUS
+    x, best = np.array(x, dtype=float), np.array(best, dtype=float)
+    K, m = x.shape
     eye = np.eye(m)
     i, j = np.triu_indices(m, 1)
     offsets = r * np.concatenate([eye, -eye, eye[i] + eye[j]])
-    values = _sigma1(sigma_Ta_torus_samples, dec, theta + offsets)
-    delta, calls = h, 1
-    while calls < _MAX_ASCENT and np.isfinite(values).all():
-        plus, minus, mixed = values[:m], values[m:2 * m], values[2 * m:]
-        hess = np.diag(plus - 2.0 * best + minus)
-        hess[i, j] = hess[j, i] = mixed - plus[i] - plus[j] + best
-        grad, hess = (plus - minus) / (2.0 * r), hess / (r * r)
-        step = _trust_step(grad, hess, delta)
-        length = float(np.linalg.norm(step))
-        if length < _REFINE_TOL:
+    values = f((x[:, None] + offsets).reshape(-1, m)).reshape(K, -1)
+    delta = np.full(K, float(delta))
+    live = np.isfinite(values).all(axis=1)
+    calls = 1
+    while calls < _MAX_ASCENT and (k := np.nonzero(live)[0]).size:
+        plus, minus, mixed = values[k, :m], values[k, m:2 * m], values[k, 2 * m:]
+        centre = best[k, None]
+        hess = np.zeros((k.size, m, m))
+        hess[:, np.arange(m), np.arange(m)] = plus - 2.0 * centre + minus
+        hess[:, i, j] = hess[:, j, i] = mixed - plus[:, i] - plus[:, j] + centre
+        step = _trust_step((plus - minus) / (2.0 * r), hess / (r * r), delta[k])
+        trial = x[k] + step
+        if lo is not None:
+            trial = np.clip(trial, lo[k], hi[k])
+            step = trial - x[k]
+        length = np.linalg.norm(step, axis=1)
+        moving = length >= tol
+        live[k[~moving]] = False
+        if not moving.any():
             break
-        trial = theta + step
-        trial_values = _sigma1(sigma_Ta_torus_samples, dec, np.vstack([trial, trial + offsets]))
+        k, trial, length = k[moving], trial[moving], length[moving]
+        out = f((trial[:, None] + np.vstack([np.zeros(m), offsets])).reshape(-1, m))
+        out = out.reshape(k.size, -1)
         calls += 1
-        if trial_values[0] > best:
-            theta, best, values = trial, float(trial_values[0]), trial_values[1:]
-            if length >= 0.9 * delta:
-                delta = min(2.0 * delta, np.pi)
-        elif (delta := 0.25 * length) < _REFINE_TOL:
-            break
-    return theta, best, calls
+        up = out[:, 0] > best[k]
+        a, b = k[up], k[~up]
+        x[a], best[a], values[a] = trial[up], out[up, 0], out[up, 1:]
+        live[a] = np.isfinite(values[a]).all(axis=1)
+        wide = a[length[up] >= 0.9 * delta[a]]
+        delta[wide] = np.minimum(2.0 * delta[wide], np.pi)
+        delta[b] = 0.25 * length[~up]
+        live[b] = delta[b] >= tol
+    return x, best, calls
 
 
 def _trust_step(grad, hess, delta):
-    """Maximiser of the model ``grad . s + s . hess . s / 2`` on ``|s| <= delta``.
+    """Maximiser of each model ``grad[k] . s + s . hess[k] . s / 2`` on ``|s| <= delta[k]``.
 
-    The Newton step when ``hess`` is negative definite and the step fits;
-    otherwise ``s = (lam I - hess)^{-1} grad`` with ``lam > max(0,
-    lambda_max(hess))`` bisected until ``0.9 delta <= |s| <= delta``, or for
+    The Newton step when ``hess`` is negative definite and the step fits.  At
+    a critical point with positive curvature (the hard case, say a start at
+    a frequency of 0, where ``sigma_1`` is even) the step of length ``delta``
+    along the top eigenvector; at one without, no step.  Otherwise ``s =
+    (lam I - hess)^{-1} grad`` with ``lam > max(0, lambda_max(hess))``
+    bisected, on these rows only, until ``0.9 delta <= |s| <= delta``, or for
     60 halvings, which ends with ``|s| <= delta`` when ``grad`` is nearly
     orthogonal to the top eigenvector.
     """
     w, Q = np.linalg.eigh(hess)
-    c = Q.T @ grad
-    if w[-1] < 0.0 and np.linalg.norm(c / w) <= delta:
-        return Q @ (-c / w)
-    if not (g := float(np.linalg.norm(grad))) > 0.0:
-        return np.zeros_like(grad)
-    lo = max(float(w[-1]), 0.0)
-    hi = lo + g / delta  # |s(hi)| <= |c| / (hi - lambda_max) = delta
-    s = c / (hi - w)
-    for _ in range(60):
-        if np.linalg.norm(s) >= 0.9 * delta:
-            break
-        lam = 0.5 * (lo + hi)
-        t = c / (lam - w)
-        if np.linalg.norm(t) > delta:
-            lo = lam
-        else:
-            hi, s = lam, t
-    return Q @ s
+    c = np.matmul(grad[:, None], Q)[:, 0]  # Q^T grad per row
+    top = w[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -c / w
+    newton = (top < 0.0) & (np.linalg.norm(s, axis=1) <= delta)
+    s[~newton] = 0.0
+    g = np.linalg.norm(grad, axis=1)
+    hard = ~newton & ~(g > 0.0) & (top > 0.0)
+    s[hard, -1] = delta[hard]
+    if (b := np.nonzero(~newton & (g > 0.0))[0]).size:
+        c, w, delta = c[b], w[b], delta[b]
+        lo = np.maximum(top[b], 0.0)
+        hi = lo + g[b] / delta  # |s(hi)| <= |c| / (hi - lambda_max) = delta
+        sb = c / (hi[:, None] - w)
+        for _ in range(60):
+            if not (short := np.linalg.norm(sb, axis=1) < 0.9 * delta).any():
+                break
+            lam = 0.5 * (lo + hi)
+            t = c / (lam[:, None] - w)
+            over = np.linalg.norm(t, axis=1) > delta
+            lo = np.where(short & over, lam, lo)
+            fit = short & ~over
+            hi = np.where(fit, lam, hi)
+            sb[fit] = t[fit]
+        s[b] = sb
+    return np.matmul(Q, s[..., None])[..., 0]
 
 
 def strong_norm_Ta(
@@ -408,7 +373,7 @@ def strong_norm_Ta(
     A uniform grid (``grid_per_dim`` points per dimension, default 400 for
     m <= 2, 64 for m = 3, 16 for m = 4, refusal beyond without an explicit
     override) seeds a trust-region ascent on quadratic models from
-    difference stencils (:func:`_quadratic_ascent`), one sampler call per
+    difference stencils (:func:`_ascent`), one sampler call per
     iteration, that runs until its step is below ``_REFINE_TOL`` (1e-8);
     ``diagnostics["refine_cycles"]`` counts its iterations.  The result is at
     least the grid maximum, ``diagnostics["grid_max"]``, and ``abs_tol``
@@ -469,7 +434,9 @@ def strong_norm_Ta(
     values = sig[:, 0]
     i_best = int(np.argmax(values))  # first occurrence = lexicographically smallest
     grid_max = float(values[i_best])
-    theta, best, cycles = _quadratic_ascent(dec, thetas[i_best], grid_max, 2.0 * np.pi / g)
+    [theta], [best], cycles = _ascent(
+        lambda t: _sigma1(sigma_Ta_torus_samples, dec, t), thetas[i_best:i_best + 1], [grid_max],
+        2.0 * np.pi / g, _STENCIL_RADIUS, _REFINE_TOL)
     theta = np.mod(theta, 2.0 * np.pi)
     return NormResult(
         value=best,
@@ -631,11 +598,18 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
         )
     i = int(np.argmax(sig[:, 0]))
     h = omegas[1] - omegas[0] if omegas.size > 1 else step
-    [w], [v] = _golden_section_max(
-        lambda x: _sigma1(sigma_Ta_samples, dec, x, tau),
-        [max(omegas[i] - h, 0.0)], [omegas[i] + h], 1e-10,
-    )
+    [w], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
+                                    sig[i:i + 1, 0], h)
     return {"value": float(v), "omega": float(w), "exact": exact, "s": s, "period": period}
+
+
+def _frequency_ascent(sample, system, tau, omegas, values, h):
+    """:func:`_ascent` of ``sigma_1`` from the frequencies ``omegas``, where it is
+    ``values``, each within ``h`` of its start (and at ``w >= 0``)."""
+    w = omegas[:, None]
+    w, v, calls = _ascent(lambda x: _sigma1(sample, system, x[:, 0], tau), w, values, h,
+                          1e-5 * h, 1e-10, np.maximum(w - h, 0.0), w + h)
+    return w[:, 0], v, calls
 
 
 def _local_max_indices(values: np.ndarray) -> np.ndarray:
@@ -648,23 +622,6 @@ def _local_max_indices(values: np.ndarray) -> np.ndarray:
     right[-1] = True
     right[:-1] = values[:-1] >= values[1:]
     return np.nonzero(left & right)[0]
-
-
-def _bisect_crossing(f, lo, hi, flo, xtol):
-    """Locate a sign change of f on each bracket ``[lo[k], hi[k]]``, all in lockstep.
-
-    ``flo`` holds the signs at ``lo``; ``f`` maps an array of points to an
-    array of values, and each step evaluates the midpoints of the brackets
-    still wider than ``xtol`` in one call (at most 60 steps).
-    """
-    lo, hi, pos = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(flo) > 0.0
-    for _ in range(60):
-        if not (open_ := np.nonzero(hi - lo > xtol)[0]).size:
-            break
-        mid = 0.5 * (lo[open_] + hi[open_])
-        same = (f(mid) > 0.0) == pos[open_]
-        lo[open_[same]], hi[open_[~same]] = mid[same], mid[~same]
-    return 0.5 * (lo + hi)
 
 
 def _scan(scan, cap, step, lobe, omega_low, period, max_points):
@@ -718,19 +675,21 @@ def hinf_norm_T(
     """Plain H-infinity norm ``sup_{w >= 0} sigma_1(T(jw))`` for fixed delays.
 
     The search scans ``sigma_1`` on a delay-scale linear grid (``scan_density``
-    points per oscillation scale ``2*pi / sum(tau)``), then polishes candidate
-    peaks by golden section and certifies the level by a crossing search: the
-    iteration stops once ``sigma_1`` nowhere crosses ``value * (1 + bisect_tol)``.
-    The scan covers 20 oscillation scales and then only as far as the
-    rigorous frequency bound of its maximum, beyond which ``T`` cannot rise
-    above that level.  Only when that bound is out of reach does it cover
-    the low-frequency resonance range and -- for commensurate delays -- two
-    full periods of the asymptotic part (see :func:`_scan`); if the bound is
+    points per oscillation scale ``2*pi / sum(tau)``), then polishes the
+    candidate peaks: the grid's local maxima within 2% (or ``8 * bisect_tol``)
+    of its maximum, the 400 highest at most.  One batched trust-region
+    ascent (:func:`_ascent`) polishes them all in lockstep, each within one
+    grid step of its sample and from its sample's value, so every polished
+    value is at least its sample and no scan sample lies above the global
+    peak; the reported level is ``value * (1 + bisect_tol)``.  The scan
+    covers 20 oscillation scales and then only as far as the rigorous
+    frequency bound of its maximum, beyond which ``T`` cannot rise above
+    that level.  Only when that bound is out of reach does it cover the
+    low-frequency resonance range and -- for commensurate delays -- two full
+    periods of the asymptotic part (see :func:`_scan`); if the bound is
     still out of reach there, the remaining tail uncertainty is reported in
-    the diagnostics.  All peaks are polished, and all crossings of a level
-    bisected, in lockstep: each step is one batched evaluation holding the
-    next point of every open bracket, so the number of calls does not grow
-    with the number of peaks.
+    the diagnostics.  ``diagnostics["iterations"]`` counts the ascent's
+    sampler calls.
 
     Peaks whose values agree within ``bisect_tol`` (relative) are ties and the
     smallest frequency wins, so weakly separated recurring peaks yield the
@@ -747,8 +706,6 @@ def hinf_norm_T(
         A characteristic root was detected on the scanned axis.
     UnboundedNormError
         gamma_a >= 1: the asymptotic branch dominates with no finite cap.
-    ConvergenceError
-        The level iteration exhausted its budget without certifying.
     """
     for name, value, rule, ok in (
         ("bisect_tol", bisect_tol, ">= 0", bisect_tol >= 0.0),
@@ -793,64 +750,16 @@ def hinf_norm_T(
     omega_cap = omega_cap if tail_certified else omega_scan
     xi_grid = float(sigma1.max())
 
-    def sigma_at(points):
-        return _sigma1(sigma_T_samples, sys, points, tau)
-
-    def refine_peaks(w_center, h):
-        return _golden_section_max(sigma_at, np.maximum(w_center - h, 0.0), w_center + h, 1e-10)
-
     capture = max(0.02, 8.0 * bisect_tol)
     idx = _local_max_indices(sigma1)
     idx = idx[sigma1[idx] >= xi_grid * (1.0 - capture)]
     if idx.size > 400:
         order = np.argsort(sigma1[idx])[::-1]
         idx = idx[order[:400]]
-    w, v = refine_peaks(omegas[idx], step)
+    w, v, iterations = _frequency_ascent(sigma_T_samples, sys, tau, omegas[idx], sigma1[idx],
+                                         step)
     catalog = [(0.0, float(sigma1[0]))] + list(zip(w.tolist(), v.tolist()))
     xi = max(v for _, v in catalog)
-
-    levels = [xi]
-    crossings = []
-    densify_left = _MAX_DENSIFY
-    converged = False
-    for iteration in range(1, _MAX_LEVEL_ITER + 1):
-        level = xi * (1.0 + bisect_tol)
-        above = sigma1 > level
-        if not above.any():
-            converged = True
-            break
-        # Bracket the crossings of the current level.
-        flips = np.nonzero(above[:-1] != above[1:])[0]
-        crossings = _bisect_crossing(lambda x: sigma_at(x) - level, omegas[flips],
-                                     omegas[flips + 1], sigma1[flips] - level,
-                                     step * 1e-3).tolist()
-        if above[0]:
-            crossings.insert(0, 0.0)
-        if above[-1]:
-            crossings.append(float(omegas[-1]))
-        lo_w, hi_w = np.array(crossings[:-1:2]), np.array(crossings[1::2])
-        mid = 0.5 * (lo_w + hi_w)
-        v_mid = sigma_at(mid)
-        w, v = refine_peaks(mid, np.maximum(0.5 * (hi_w - lo_w), step))
-        w, v = np.where(v_mid > v, mid, w), np.where(v_mid > v, v_mid, v)
-        catalog += zip(w.tolist(), v.tolist())
-        new_xi = max(xi, float(v.max()))
-        if new_xi > xi * (1.0 + 1e-12):
-            xi = new_xi
-            levels.append(xi)
-            continue
-        if densify_left > 0:
-            densify_left -= 1
-            step *= 0.5
-            omegas = np.arange(0.0, omega_scan, step)
-            sigma1 = scan(omegas)
-            continue
-        raise ConvergenceError(
-            "level iteration stalled with crossings remaining; "
-            f"level={xi:.6g}, crossings={len(crossings)}"
-        )
-    if not converged:
-        raise ConvergenceError(f"no convergence within {_MAX_LEVEL_ITER} level iterations")
 
     certified = xi * (1.0 + bisect_tol)
     window = xi * (1.0 - bisect_tol)
@@ -866,13 +775,11 @@ def hinf_norm_T(
             tail_gap = max(ta.value - certified, 0.0) + (g_at if math.isfinite(g_at) else 0.0)
 
     diagnostics = {
-        "iterations": iteration,
+        "iterations": iterations,
         "scan_points": int(omegas.size),
         "scan_step": step,
         "omega_scan": omega_scan,
         "omega_cap": omega_cap,
-        "levels": levels,
-        "crossings": crossings,
         "gamma_a": gamma_a,
         "strong_ta": ta.value,
         "ta_tail_sup": tail["value"],

@@ -11,12 +11,12 @@ assembles stacks of ``lam*E - A_0 - sum_i A_i e^{-j theta_i}``: ``lam = j w`` an
 ``theta = w tau`` for ``T``; no ``E`` term for the torus matrix of the
 algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
 ``_transfer`` is the one singularity test and solve; samplers flag singular
-samples, the ``eval_*`` functions raise.  Grids are evaluated in chunks whose
-pencil stack fits ``_STACK_BYTES``, so memory stays bounded for any grid
-length and system size.  Each chunk is one stacked product: the real rows
-``[1, cos theta_i, w, sin theta_i]`` times a real map of the coefficients,
-written straight into the float64 view of the complex stack, with no
-stack-sized temporary.  The map is built once per system, on first use
+samples and samples with a non-finite entry, the ``eval_*`` functions raise.
+Grids are evaluated in chunks whose pencil stack fits ``_STACK_BYTES``, so
+memory stays bounded for any grid length and system size.  Each chunk is one
+stacked product: the real rows ``[1, cos theta_i, w, sin theta_i]`` times a
+real map of the coefficients, written straight into the float64 view of the
+complex stack, with no stack-sized temporary.  The map is built once per system, on first use
 (``DdaeSystem.pencil_basis`` for ``T``, ``BlockDecomposition.pencil_basis``
 for ``T_a`` and the torus).  The product is the same small one for every
 sample, whether it is evaluated alone, in a search step or in any chunk, so
@@ -132,9 +132,13 @@ def _with_probe(shape, data) -> np.ndarray:
 
 
 def _svd_rcond(M) -> np.ndarray:
-    """Exact ``sigma_min / sigma_max`` per sample (0 for a zero matrix)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[:, -1] / np.maximum(s[:, 0], 1e-300)
+    """Exact ``sigma_min / sigma_max`` per sample (0 for a zero matrix, NaN for a
+    sample with a non-finite entry, which fails every test)."""
+    rcond = np.full(len(M), np.nan)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    s = np.linalg.svd(M[finite], compute_uv=False)
+    rcond[finite] = s[:, -1] / np.maximum(s[:, 0], 1e-300)
+    return rcond
 
 
 def _exact_transfer(M, B, C):
@@ -160,7 +164,8 @@ def _transfer(M, B, C):
     its singular values instead.  Returns ``(T, ok, rcond)``: ``T`` stacks the
     passing samples only, ``ok`` flags them and ``rcond`` holds ``1 / kappa``
     or the exact ratio per sample for error messages (a flagged sample always
-    has its exact ratio at ``n <= 2``), or is None when every sample passes.
+    has its exact ratio at ``n <= 2``, and a sample with a non-finite entry
+    NaN), or is None when every sample passes.
     """
     N, n, _ = M.shape
     p = B.shape[1]
@@ -295,9 +300,11 @@ def _sample(S, B, C, **samples):
 
 
 def _evaluate(S, B, C, point, what, **samples) -> np.ndarray:
-    """Transfer matrix at one sample; raises EvaluationError where singular."""
+    """Transfer matrix at one sample; raises EvaluationError where singular or not finite."""
     [(T, ok, rcond)] = _pencil_map(lambda M: _transfer(M, B, C), S, **samples)
     if not ok[0]:
+        if np.isnan(rcond[0]):
+            raise EvaluationError(f"{what} is not finite at {point}", point=point)
         raise EvaluationError(f"{what} is singular at {point} (rcond <= {rcond[0]:.1e})",
                               point=point)
     return T[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DdaeError, DimensionError
 from .fileio import _write_csv, _write_json
 from .norms import hinf_norm_T, strong_norm_Ta
-from .system_model import BlockDecomposition, DdaeSystem, decompose
+from .system_model import BlockDecomposition, DdaeSystem, _check_delays, decompose
 
 __all__ = [
     "PerturbationRecord",
@@ -71,7 +71,7 @@ class PerturbationStudy:
     records: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
+        self.tau = np.atleast_1d(_check_delays(self.tau))
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.scheme not in ("deterministic-rational", "random-uniform"):

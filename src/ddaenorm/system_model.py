@@ -137,6 +137,10 @@ class DdaeSystem:
                 f"tau has {tau.size} entries for {len(A) - 1} delayed coefficients"
             )
         _check_delays(tau)
+        for name, M in (("E", E), *((f"A[{i}]", Ai) for i, Ai in enumerate(A)), ("B", B),
+                        ("C", C)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must hold finite entries")
         for arr in (E, *A, B, C, tau):
             arr.setflags(write=False)
         object.__setattr__(self, "E", E)
@@ -363,14 +367,22 @@ def _resolve_tau(tau, m: int) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.size != m:
         raise DimensionError(f"expected {m} delays, got {tau.size}")
-    _check_delays(tau)
+    return _check_delays(tau)
+
+
+def _check_delays(tau, name="tau", *, zero=False) -> np.ndarray:
+    """``tau``, a delay or an array of them, as floats.
+
+    Raises a ``ValueError`` naming ``name`` unless every delay is finite and
+    strictly positive, or also zero where ``zero``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not (np.isfinite(tau) & ((tau >= 0.0) if zero else (tau > 0.0))).all():
+        rule = "nonnegative" if zero else "strictly positive"
+        if tau.ndim:
+            raise ValueError(f"{name} must hold finite, {rule} delays, got {tau.tolist()}")
+        raise ValueError(f"{name} must be finite and {rule}, got {float(tau)!r}")
     return tau
-
-
-def _check_delays(tau) -> None:
-    """``ValueError`` naming ``tau`` unless every delay is finite and positive."""
-    if not (np.isfinite(tau) & (tau > 0.0)).all():
-        raise ValueError(f"tau must hold finite, strictly positive delays, got {tau.tolist()}")
 
 
 def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0) -> list:

@@ -127,6 +127,15 @@ class TestSweep:
 
 
 class TestNorm:
+    @pytest.mark.parametrize("command", ["norm", "check"])
+    def test_nan_literal_exit_1(self, tmp_path, capsys, command):
+        # json reads the NaN literal; the system refuses it by matrix name
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 1, "delays": [], "E": [[1.0]], "A": [[[NaN]]], '
+                        '"B": [[1.0]], "C": [[1.0]]}')
+        assert main([command, str(path)]) == 1
+        assert "A[0] must hold finite entries" in capsys.readouterr().err
+
     def test_strong_is_four(self, sys_a_file, capsys):
         assert main(["norm", sys_a_file, "--kind", "strong", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -77,6 +77,11 @@ class TestCloseFeedback:
             got = eval_T(sys, w)[0, 0]
             assert abs(got - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0])
+    def test_rejects_nonfinite_or_negative_delay(self, tau):
+        with pytest.raises(ValueError, match="^tau must be finite and nonnegative"):
+            StaticDelayController(K=[[0.5]], tau=tau)
+
     def test_affine_in_gain(self):
         rng = np.random.default_rng(1)
         plant = PlantBlock(

@@ -62,6 +62,10 @@ class TestEvalT:
             eval_T(sys, 1.0)
         assert err.value.point == pytest.approx(1.0)
 
+    def test_nan_frequency_raises(self, sys_a):
+        with pytest.raises(EvaluationError, match="characteristic matrix is not finite at nan"):
+            eval_T(sys_a, np.nan)
+
 
 class TestEvalTa:
     def test_sys_a_at_zero(self, sys_a):
@@ -306,6 +310,15 @@ class TestPencilKernel:
         np.testing.assert_array_equal(ok, [True, True, False, True, False])
         assert np.isnan(sig[~ok]).all()
         assert np.isfinite(sig[ok]).all()
+
+    def test_nonfinite_torus_point(self, sys_a):
+        from ddaenorm.response import sigma_Ta_torus_samples
+        dec = decompose(sys_a)
+        with pytest.raises(EvaluationError, match=r"torus matrix is not finite at \(nan, 0.0\)"):
+            eval_Ta_torus(dec, [np.nan, 0.0])
+        sig, ok = sigma_Ta_torus_samples(dec, [[np.nan, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(ok, [False, True])
+        assert np.isnan(sig[0]).all() and sig[1, 0] == pytest.approx(0.8)
 
     def test_mixed_singular_torus_stack(self):
         from ddaenorm.response import _sample

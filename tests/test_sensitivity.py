@@ -82,6 +82,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
             PerturbationStudy(tau=[1.0], epsilon=epsilon, scheme="random-uniform")
 
+    @pytest.mark.parametrize("tau", [[-1.0, 2.0], [math.nan, 2.0]])
+    def test_bad_delays_rejected(self, tau):
+        # a negative delay made the random scheme's rejection loop run forever
+        with pytest.raises(ValueError, match="^tau must hold finite, strictly positive"):
+            PerturbationStudy(tau=tau, epsilon=0.1, scheme="random-uniform")
+
 
 class TestStudies:
     def test_covers_first_rational_perturbation(self, sys_a):

@@ -48,6 +48,21 @@ class TestDelays:
         assert eval_T(sys, 0.0, tau=[])[0, 0] == 1.0
 
 
+class TestCoefficients:
+    """``DdaeSystem`` refuses a non-finite coefficient by the matrix's name."""
+
+    @pytest.mark.parametrize("name", ["E", "A[0]", "A[1]", "B", "C"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_coefficient_rejected_by_name(self, sys_a, name, bad):
+        parts = {"E": sys_a.E.copy(), "A": [Ai.copy() for Ai in sys_a.A],
+                 "B": sys_a.B.copy(), "C": sys_a.C.copy()}
+        M = parts["A"][int(name[2])] if name.startswith("A") else parts[name]
+        M[0, 0] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must hold finite entries"):
+            DdaeSystem(E=parts["E"], A=tuple(parts["A"]), B=parts["B"], C=parts["C"],
+                       tau=sys_a.tau)
+
+
 class TestNullspaceBases:
     def test_zero_matrix_full_nullspace(self):
         U, V, Uperp, Vperp = nullspace_bases(np.zeros((2, 2)), 1e-10)
