@@ -49,11 +49,15 @@ class _Parser(argparse.ArgumentParser):
 def _parse_grid(text: str) -> FrequencyGrid:
     parts = text.split(":")
     if len(parts) != 4:
-        raise ValueError("grid must look like linear:OMEGA_MIN:OMEGA_MAX:COUNT")
+        raise argparse.ArgumentTypeError("grid must look like linear:OMEGA_MIN:OMEGA_MAX:COUNT")
     kind, lo, hi, count = parts
     if kind == "log":
         kind = "logarithmic"
-    return FrequencyGrid(kind=kind, omega_min=float(lo), omega_max=float(hi), count=int(count))
+    try:
+        return FrequencyGrid(kind=kind, omega_min=float(lo), omega_max=float(hi),
+                             count=int(count))
+    except ValueError as exc:  # argparse prints an ArgumentTypeError's own message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -129,10 +133,10 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     sys_ = fileio.load_system(args.system_file)
     curve = sweep(sys_, args.grid, which=args.which)
+    pt, val = curve.max_point()  # raises on a curve of gaps only, before any write
     curve.to_csv(args.out)
     if args.json:
         curve.to_json(args.json)
-    pt, val = curve.max_point()
     print(f"wrote {args.out}: {curve.params.size} samples, "
           f"{len(curve.gaps)} gaps, max sigma_1 = {val:.6g} at omega = {pt:.6g}")
     return EXIT_OK

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .system_model import DdaeSystem, _check_delays
+from .system_model import DdaeSystem, _as_real, _check_delays
 
 __all__ = [
     "PlantBlock",
@@ -36,7 +36,8 @@ MERGE_TOL = 1e-12
 
 
 def _mat(M, name, rows=None, cols=None):
-    M = np.asarray(M, dtype=float)
+    """``M`` as a real float matrix; complex or non-finite entries are refused by name."""
+    M = _as_real(M, name)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim == 1:
@@ -47,6 +48,8 @@ def _mat(M, name, rows=None, cols=None):
         raise DimensionError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         raise DimensionError(f"{name} must have {cols} columns, got {M.shape[1]}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must hold finite entries")
     return M
 
 

@@ -545,51 +545,34 @@ def frequency_bound(dec: BlockDecomposition, tau, gamma: float) -> float:
     return _omega_cap(_bound_params(dec), gamma)
 
 
-def _commensurate_denominator(tau: np.ndarray, s_cap: int = COMMENSURATE_S_CAP,
-                              rel_tol: float = COMMENSURATE_REL_TOL):
-    """Smallest s <= s_cap with every tau_i within tolerance of n_i / s, else None."""
-    if tau.size == 0:
-        return None
-    svals = np.arange(1, s_cap + 1)
-    prods = tau[:, None] * svals[None, :]
-    err = np.abs(prods - np.round(prods))
-    ok = (err <= rel_tol * np.maximum(1.0, prods)).all(axis=0)
-    hits = np.nonzero(ok)[0]
-    return int(svals[hits[0]]) if hits.size else None
+def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_points: int):
+    """The denominator ``s``, the period of ``sigma_1(T_a(jw))`` and its supremum.
 
-
-def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
-                 max_points: int) -> dict:
-    """Supremum of sigma_1(T_a(jw)) over all frequencies.
-
-    For commensurate delays ``n_i / s`` the curve is periodic with period
-    ``2*pi*s`` and the supremum is the (refined) maximum over one period,
-    marked exact.  Otherwise a budgeted sweep yields a lower bound; the
-    strong norm of T_a is always an upper bound.
+    ``s`` is the smallest integer up to ``COMMENSURATE_S_CAP`` with every
+    ``tau_i`` within tolerance of some ``n_i / s``, or ``None``.  The curve
+    then has period ``2*pi*s`` (``2*pi / tau_1`` for one delay, whatever
+    ``s``), and the supremum is the polished maximum over one period.  It is
+    ``None``, and no sample is taken, without a period or when one period
+    needs more than ``max_points`` samples: the strong norm of T_a bounds it.
     """
     if dec.nu == 0:
-        return {"value": 0.0, "omega": 0.0, "exact": True, "s": None, "period": None}
+        return None, None, 0.0
     if dec.m == 0:
-        val = float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0])
-        return {"value": val, "omega": 0.0, "exact": True, "s": None, "period": None}
+        return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0])
+    prods = tau[:, None] * np.arange(1, COMMENSURATE_S_CAP + 1)
+    near = np.abs(prods - np.round(prods)) <= COMMENSURATE_REL_TOL * np.maximum(1.0, prods)
+    hits = np.nonzero(near.all(axis=0))[0]
+    s = int(hits[0]) + 1 if hits.size else None
     if dec.m == 1:
-        # A single phase makes T_a periodic regardless of rationality.
-        s = _commensurate_denominator(tau)
         period = 2.0 * math.pi / float(tau[0])
-    elif (s := _commensurate_denominator(tau)) is not None:
+    elif s is not None:
         period = 2.0 * math.pi * s
     else:
-        period = None
-    if period is not None:
-        npts = max(int(period / step) + 1, 512)
-        exact = npts <= max_points
-        if not exact:
-            npts = max_points
-        omegas = np.linspace(0.0, period, npts, endpoint=False)
-    else:
-        width = min(1000.0 * 2.0 * math.pi / float(tau.sum()), step * max_points)
-        omegas = np.arange(0.0, width, step)
-        exact = False
+        return s, None, None
+    npts = max(int(period / step) + 1, 512)
+    if npts > max_points:
+        return s, period, None
+    omegas = np.linspace(0.0, period, npts, endpoint=False)
     sig, ok = sigma_Ta_samples(dec, omegas, tau)
     if not ok.all():
         bad = omegas[~ok][0]
@@ -597,10 +580,9 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float,
             f"A22(j*omega) singular at omega={bad:.6g}: difference part unstable"
         )
     i = int(np.argmax(sig[:, 0]))
-    h = omegas[1] - omegas[0] if omegas.size > 1 else step
-    [w], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
-                                    sig[i:i + 1, 0], h)
-    return {"value": float(v), "omega": float(w), "exact": exact, "s": s, "period": period}
+    [_], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
+                                    sig[i:i + 1, 0], omegas[1])
+    return s, period, float(v)
 
 
 def _frequency_ascent(sample, system, tau, omegas, values, h):
@@ -688,8 +670,10 @@ def hinf_norm_T(
     low-frequency resonance range and -- for commensurate delays -- two full
     periods of the asymptotic part (see :func:`_scan`); if the bound is
     still out of reach there, the remaining tail uncertainty is reported in
-    the diagnostics.  ``diagnostics["iterations"]`` counts the ascent's
-    sampler calls.
+    the diagnostics.  ``T_a``'s part of the tail is bounded by its supremum
+    over one period (``diagnostics["ta_tail_sup"]``, see :func:`_tail_sup_Ta`)
+    or, when that is ``None``, by its strong norm.
+    ``diagnostics["iterations"]`` counts the ascent's sampler calls.
 
     Peaks whose values agree within ``bisect_tol`` (relative) are ties and the
     smallest frequency wins, so weakly separated recurring peaks yield the
@@ -726,10 +710,10 @@ def hinf_norm_T(
     omega_low = 10.0 * (1.0 + params.scale)
     step = lobe / scan_density if lobe else omega_low / 10000.0
 
-    tail = _tail_sup_Ta(dec, tau, step, max_scan_points // 2)
+    s, period, ta_sup = _tail_sup_Ta(dec, tau, step, max_scan_points // 2)
     # Rigorous tail cap: beyond it the response cannot rise above the level
     # of a grid maximum unless the asymptotic branch already dominates.
-    tail_ub = tail["value"] * (1.0 + 1e-6) if tail["exact"] else ta.value
+    tail_ub = ta.value if ta_sup is None else ta_sup * (1.0 + 1e-6)
 
     def cap(xi_grid):
         gamma_cap = xi_grid * (1.0 + bisect_tol) - tail_ub
@@ -745,7 +729,7 @@ def hinf_norm_T(
         return sig[:, 0]
 
     omegas, sigma1, omega_scan, omega_cap, truncated = _scan(
-        scan, cap, step, lobe, omega_low, tail["period"], max_scan_points)
+        scan, cap, step, lobe, omega_low, period, max_scan_points)
     tail_certified = omega_cap is not None
     omega_cap = omega_cap if tail_certified else omega_scan
     xi_grid = float(sigma1.max())
@@ -769,7 +753,7 @@ def hinf_norm_T(
     tail_gap = 0.0
     if not tail_certified:
         g_at = _bound_value_at(params, omega_scan)
-        if tail["exact"]:
+        if ta_sup is not None:
             tail_gap = max(tail_ub + g_at - certified, 0.0)
         else:
             tail_gap = max(ta.value - certified, 0.0) + (g_at if math.isfinite(g_at) else 0.0)
@@ -782,9 +766,8 @@ def hinf_norm_T(
         "omega_cap": omega_cap,
         "gamma_a": gamma_a,
         "strong_ta": ta.value,
-        "ta_tail_sup": tail["value"],
-        "ta_tail_exact": tail["exact"],
-        "commensurate_s": tail["s"],
+        "ta_tail_sup": ta_sup,
+        "commensurate_s": s,
         "tail_certified": tail_certified,
         "tail_gap": tail_gap,
         "scan_truncated": truncated,
@@ -804,8 +787,6 @@ def strong_hinf_norm_T(
     sys: DdaeSystem,
     dec: BlockDecomposition | None = None,
     tau=None,
-    *,
-    grid_per_dim: int | None = None,
     **hinf_opts,
 ) -> NormResult:
     """Strong H-infinity norm: ``max(||T||_inf, strong norm of T_a)``.
@@ -817,11 +798,12 @@ def strong_hinf_norm_T(
     larger of the components' own ``value + abs_tol``, so the plain branch's
     uncertainty (an uncertified tail, say) is kept when the asymptotic branch
     wins.  Unlike the plain norm, this quantity is continuous in the delay
-    parameters.
+    parameters.  ``hinf_opts`` are passed to :func:`hinf_norm_T`; the torus
+    sweep takes its default grid.
     """
     if dec is None:
         dec = decompose(sys)
-    ta = strong_norm_Ta(dec, grid_per_dim=grid_per_dim)
+    ta = strong_norm_Ta(dec)
     plain = hinf_norm_T(sys, dec, tau, ta_result=ta, **hinf_opts)
     value = max(plain.value, ta.value)
     tie = abs(plain.value - ta.value) <= plain.rel_tol * max(plain.value, ta.value)

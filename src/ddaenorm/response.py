@@ -104,6 +104,9 @@ class FrequencyGrid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
+        for name in ("omega_min", "omega_max"):
+            if not math.isfinite(bound := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {bound!r}")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be smaller than omega_max")
         if self.omega_min < 0.0:
@@ -415,7 +418,9 @@ class SvCurve:
     meta: dict
 
     def max_point(self):
-        """Sample point and value of the largest sigma_1 on the curve."""
+        """Sample point and value of the largest sigma_1 (EvaluationError if all are gaps)."""
+        if not len(self.sigmas):
+            raise EvaluationError(f"no sample to maximise: all {len(self.gaps)} points are gaps")
         i = int(np.argmax(self.sigmas[:, 0]))
         p = self.params[i]
         return (float(p) if np.ndim(p) == 0 else tuple(p.tolist()), float(self.sigmas[i, 0]))

@@ -303,17 +303,17 @@ def decompose(sys: DdaeSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BlockDecom
     return dec
 
 
-def check_assumption1(dec: BlockDecomposition, tol: float = DEFAULT_ASSUMPTION_TOL):
+def check_assumption1(dec: BlockDecomposition):
     """Check that the undelayed algebraic block ``A22[0]`` is nonsingular.
 
-    Returns ``(ok, margin)`` with ``margin = sigma_min(A22[0])``.  For a
-    nonsingular E (no algebraic part) the assumption is vacuous and the margin
-    is ``inf``.
+    Returns ``(ok, margin)`` with ``margin = sigma_min(A22[0])`` and ``ok =
+    margin > DEFAULT_ASSUMPTION_TOL``.  For a nonsingular E (no algebraic
+    part) the assumption is vacuous and the margin is ``inf``.
     """
     if dec.nu == 0:
         return True, math.inf
     margin = _sigma_min(dec.A22[0])
-    return margin > tol, margin
+    return margin > DEFAULT_ASSUMPTION_TOL, margin
 
 
 def _torus_grid(m: int, grid_per_dim: int) -> np.ndarray:
@@ -451,10 +451,11 @@ def _pencil_stack(S, n, theta, omegas=None) -> np.ndarray:
     N, m = theta.shape
     X = np.empty((N, len(S)))
     X[:, 0] = 1.0
-    np.cos(theta, out=X[:, 1:m + 1])
+    with np.errstate(invalid="ignore"):  # a non-finite phase gives NaN, flagged downstream
+        np.cos(theta, out=X[:, 1:m + 1])
+        np.sin(theta, out=X[:, len(S) - m:])
     if len(S) > 2 * m + 1:
         X[:, m + 1] = omegas
-    np.sin(theta, out=X[:, len(S) - m:])
     M = np.empty((N, n, n), dtype=complex)
     np.matmul(X[:, None], S, out=M.reshape(N, 1, n * n).view(np.float64))
     return M
@@ -634,7 +635,6 @@ class ValidationReport:
 def validate_system(
     sys: DdaeSystem,
     rank_tol: float = DEFAULT_RANK_TOL,
-    assumption_tol: float = DEFAULT_ASSUMPTION_TOL,
     grid_per_dim: int | None = None,
     axis_scan_omega_max: float | None = None,
 ) -> ValidationReport:
@@ -655,7 +655,7 @@ def validate_system(
         _omega_max(axis_scan_omega_max)
     dec = decompose(sys, rank_tol)
     messages = []
-    ok1, margin1 = check_assumption1(dec, assumption_tol)
+    ok1, margin1 = check_assumption1(dec)
     if dec.nu == 0:
         messages.append("E is nonsingular: no algebraic part, assumption on A22[0] is vacuous")
     elif not ok1:

@@ -7,8 +7,14 @@ paths, so they can serve as oracles for both.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ddaenorm import DdaeSystem
+
+# Every property test draws the same examples on every run and writes no
+# example database into the checkout; each test sets its own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # ---------------------------------------------------------------------------
 # Reference systems.

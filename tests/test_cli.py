@@ -116,6 +116,26 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("grid, message", [
+        ("linear:0:inf:5", "omega_max must be finite, got inf"),
+        ("log:nan:10:5", "omega_min must be finite, got nan"),
+        ("linear:0:5", "grid must look like"),
+    ])
+    def test_grid_error_names_its_cause(self, sys_a_file, tmp_path, capsys, grid, message):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", sys_a_file, "--grid", grid, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_singular_curve_is_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        save_system(ddaenorm.DdaeSystem(E=[[0.0]], A=([[0.0]],), B=[[1.0]], C=[[1.0]], tau=[]),
+                    path)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", str(path), "--grid", "linear:0:1:5", "--out", str(out)]) == 2
+        assert "all 5 points are gaps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_output(self, sys_a_file, tmp_path):
         out_csv = tmp_path / "c.csv"
         out_json = tmp_path / "c.json"

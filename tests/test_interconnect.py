@@ -128,6 +128,36 @@ def test_all_builders_preserve_assumption1():
         assert ok and margin > 0.1
 
 
+_BASE = DdaeSystem(E=np.eye(1), A=([[-1.0]], [[0.3]]), B=[[1.0]], C=[[1.0]], tau=[1.0])
+_PLANT = dict(A=[[-1.0]], B1=[[1.0]], B2=[[1.0]], C=[[1.0]], D1=[[0.0]], F=[[1.0]])
+_NEUTRAL = dict(D=[[0.2]], tau1=1.0, A0=[[-1.5]], A1=[[0.3]], tau2=2.0, B=[[1.0]], C=[[1.0]])
+# Each builder with one 1x1 matrix argument replaced, by the name it reports.
+_MATRIX_ARGUMENTS = [
+    *[(f"PlantBlock.{k}", k, lambda M, k=k: PlantBlock(**{**_PLANT, k: M})) for k in _PLANT],
+    ("StaticDelayController.K", "K", lambda M: StaticDelayController(K=M, tau=1.0)),
+    ("eliminate_feedthrough.D2", "D2", lambda M: eliminate_feedthrough(_BASE, M)),
+    ("absorb_io_delay.input", "matrix", lambda M: absorb_io_delay(_BASE, "input", M, 0.7)),
+    ("absorb_io_delay.output", "matrix", lambda M: absorb_io_delay(_BASE, "output", M, 0.7)),
+    *[(f"from_neutral.{k}", k, lambda M, k=k: from_neutral(**{**_NEUTRAL, k: M}))
+      for k in ("D", "A0", "A1", "B", "C")],
+]
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[-1.0 + 5j]], "must be real"),
+    (np.array([[-1.0 + 5j]]), "must be real"),
+    ([[np.nan]], "must hold finite entries"),
+    (np.array([[-np.inf]]), "must hold finite entries"),
+], ids=["complex-list", "complex-array", "nan", "inf"])
+@pytest.mark.parametrize("builder, name, build", _MATRIX_ARGUMENTS,
+                         ids=[b for b, _, _ in _MATRIX_ARGUMENTS])
+def test_builders_refuse_complex_and_nonfinite_matrices(builder, name, build, value, message):
+    # the imaginary part is never dropped, and the error names the builder's argument
+    build([[0.5]])
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        build(value)
+
+
 class TestEliminateFeedthrough:
     def base_system(self):
         return DdaeSystem(E=np.eye(1), A=([[-1.0]], [[0.3]]), B=[[1.0]],

@@ -258,7 +258,7 @@ def _adversarial_parts(draw):
 class TestPrunedDifferenceRadius:
     """The pruned gamma_a grid against ``eigvals`` on the whole grid, bit for bit."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(_adversarial_parts())
     def test_matches_whole_grid(self, parts):
         F, g = parts
@@ -413,7 +413,7 @@ class TestDdaeSystemValidation:
 class TestTorusGrid:
     """``_torus_grid`` keeps the lexicographically smaller point of each conjugate pair."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(m=st.integers(1, 4), g=st.integers(2, 12))
     def test_half_of_the_full_grid(self, m, g):
         thetas = _torus_grid(m, g)
