@@ -24,7 +24,7 @@ import numpy as np
 from . import fileio
 from .errors import DdaeError
 from .fileio import SchemaError
-from .norms import hinf_norm_T, strong_hinf_norm_T, strong_norm_Ta
+from .norms import DEFAULT_BISECT_TOL, hinf_norm_T, strong_hinf_norm_T, strong_norm_Ta
 from .response import FrequencyGrid, sweep
 from .sensitivity import PerturbationStudy, run_perturbation_study
 from .system_model import decompose, validate_system
@@ -39,11 +39,8 @@ EXIT_NUMERICAL = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(_sys.stderr)
-        raise SystemExit(self.exit_code_message(message))
-
-    def exit_code_message(self, message):
         print(f"{self.prog}: error: {message}", file=_sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _parse_grid(text: str) -> FrequencyGrid:
@@ -83,7 +80,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("norm", help="compute norms")
     p.add_argument("system_file")
     p.add_argument("--kind", choices=["hinf", "strong-ta", "strong"], default="strong")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL,
                    help="relative level tolerance of the plain-norm search")
     p.add_argument("--json", action="store_true", help="emit the result as JSON")
     p.add_argument("--out", default=None, metavar="PATH", help="write the JSON result here")
@@ -145,15 +142,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_norm(args) -> int:
     sys_ = fileio.load_system(args.system_file)
     dec = decompose(sys_)
-    opts = {}
-    if args.tol is not None:
-        opts["bisect_tol"] = args.tol
     if args.kind == "hinf":
-        result = hinf_norm_T(sys_, dec, **opts)
+        result = hinf_norm_T(sys_, dec, bisect_tol=args.tol)
     elif args.kind == "strong-ta":
         result = strong_norm_Ta(dec)
     else:
-        result = strong_hinf_norm_T(sys_, dec, **opts)
+        result = strong_hinf_norm_T(sys_, dec, bisect_tol=args.tol)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(result.to_json())

@@ -40,7 +40,6 @@ from .system_model import (
     _UNDERFLOW,
     BlockDecomposition,
     DdaeSystem,
-    _integral,
     _pencil_map,
     _resolve_tau,
     _sigma_min,
@@ -65,9 +64,10 @@ BRANCH_ASYMPTOTIC = "asymptotic-Ta"
 
 # Relative level tolerance of the plain-norm search (also the tie window).
 DEFAULT_BISECT_TOL = 1e-4
-# Scan points per oscillation scale 2*pi/sum(tau) of the frequency response.
-DEFAULT_SCAN_DENSITY = 64
-DEFAULT_MAX_SCAN_POINTS = 2_000_000
+# Scan points per oscillation scale 2*pi/sum(tau) of the frequency response,
+# and the scan's cap; hinf_norm_T reads both at call time.
+SCAN_DENSITY = 64
+MAX_SCAN_POINTS = 2_000_000
 # Commensurate-delay detection: smallest common denominator up to this cap.
 COMMENSURATE_S_CAP = 20000
 COMMENSURATE_REL_TOL = 1e-9
@@ -132,18 +132,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # keep the JSON strictly parseable
     return obj
-
-
-def _default_torus_points(m: int) -> int:
-    if m <= 2:
-        return 400
-    if m == 3:
-        return 64
-    if m == 4:
-        return 16
-    raise ValueError(
-        f"torus grids grow exponentially; pass grid_per_dim explicitly for m={m} > 4"
-    )
 
 
 def _sigma1(sample, system, points, *args) -> np.ndarray:
@@ -358,10 +346,7 @@ def _trust_step(grad, hess, delta):
     return np.matmul(Q, s[..., None])[..., 0]
 
 
-def strong_norm_Ta(
-    dec: BlockDecomposition,
-    grid_per_dim: int | None = None,
-) -> NormResult:
+def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:
     """Strong H-infinity norm of the asymptotic transfer function.
 
     Equals the maximum of ``sigma_1`` of the torus function over
@@ -370,9 +355,9 @@ def strong_norm_Ta(
     sweep ranges over all phase combinations, the result is independent of
     the delay values; delays are deliberately not an argument.
 
-    A uniform grid (``grid_per_dim`` points per dimension, default 400 for
-    m <= 2, 64 for m = 3, 16 for m = 4, refusal beyond without an explicit
-    override) seeds a trust-region ascent on quadratic models from
+    A uniform grid of ``g = min(400, 2 ** (18 // m))`` points per dimension
+    (400, 400, 64, 16, 8, 8, 4 and 4 for m = 1..8, never more than ``2**18``
+    points) seeds a trust-region ascent on quadratic models from
     difference stencils (:func:`_ascent`), one sampler call per
     iteration, that runs until its step is below ``_REFINE_TOL`` (1e-8);
     ``diagnostics["refine_cycles"]`` counts its iterations.  The result is at
@@ -389,13 +374,19 @@ def strong_norm_Ta(
 
     Raises
     ------
-    ValueError
-        If ``grid_per_dim`` is not an integer of at least 2.
     AssumptionError
         If the undelayed algebraic block is singular.
+    DimensionError
+        If the gamma_a grid (:attr:`BlockDecomposition.gamma_a`) has more
+        than ``2**24`` points, as it has for m >= 9 delays.
     UnboundedNormError
         If a singular torus matrix is encountered (gamma_a >= 1 regime).
     """
+    return _torus_maximum(dec, min(400, 2 ** (18 // max(dec.m, 1))))
+
+
+def _torus_maximum(dec: BlockDecomposition, g: int) -> NormResult:
+    """:func:`strong_norm_Ta` on a grid of ``g`` points per dimension."""
     m = dec.m
     if dec.nu == 0:
         return NormResult(
@@ -408,7 +399,7 @@ def strong_norm_Ta(
         warnings.warn(
             f"gamma_a={gamma_a:.4f} >= 1: strong norm of T_a may be unbounded",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if m == 0:
         value = float(_sigma1(sigma_Ta_torus_samples, dec, np.zeros((1, 0)))[0])
@@ -417,12 +408,6 @@ def strong_norm_Ta(
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,
             diagnostics={"gamma_a": gamma_a, "note": "no delays: constant T_a"},
         )
-    if grid_per_dim is None:
-        g = _default_torus_points(m)
-    else:
-        g = _integral("grid_per_dim", grid_per_dim)
-    if g < 2:
-        raise ValueError("grid_per_dim must be at least 2")
     thetas = _sweep_rows(dec, g)
     sig, ok = sigma_Ta_torus_samples(dec, thetas)
     if not ok.all():
@@ -650,14 +635,13 @@ def hinf_norm_T(
     tau=None,
     *,
     bisect_tol: float = DEFAULT_BISECT_TOL,
-    scan_density: int = DEFAULT_SCAN_DENSITY,
-    max_scan_points: int = DEFAULT_MAX_SCAN_POINTS,
     ta_result: NormResult | None = None,
 ) -> NormResult:
     """Plain H-infinity norm ``sup_{w >= 0} sigma_1(T(jw))`` for fixed delays.
 
-    The search scans ``sigma_1`` on a delay-scale linear grid (``scan_density``
-    points per oscillation scale ``2*pi / sum(tau)``), then polishes the
+    The search scans ``sigma_1`` on a delay-scale linear grid
+    (``SCAN_DENSITY`` points per oscillation scale ``2*pi / sum(tau)``, at
+    most ``MAX_SCAN_POINTS``; both are read at call time), then polishes the
     candidate peaks: the grid's local maxima within 2% (or ``8 * bisect_tol``)
     of its maximum, the 400 highest at most.  One batched trust-region
     ascent (:func:`_ascent`) polishes them all in lockstep, each within one
@@ -682,22 +666,19 @@ def hinf_norm_T(
     Raises
     ------
     ValueError
-        An option is out of range: ``bisect_tol >= 0``, ``scan_density > 0``,
-        and ``max_scan_points >= 2`` are required.
+        ``bisect_tol`` is negative or NaN.
     AssumptionError
         Undelayed algebraic block singular.
+    DimensionError
+        The gamma_a grid has more than ``2**24`` points (m >= 9 delays, see
+        :func:`strong_norm_Ta`).
     InstabilityError
         A characteristic root was detected on the scanned axis.
     UnboundedNormError
         gamma_a >= 1: the asymptotic branch dominates with no finite cap.
     """
-    for name, value, rule, ok in (
-        ("bisect_tol", bisect_tol, ">= 0", bisect_tol >= 0.0),
-        ("scan_density", scan_density, "> 0", scan_density > 0),
-        ("max_scan_points", max_scan_points, ">= 2", max_scan_points >= 2),
-    ):
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    if not bisect_tol >= 0.0:
+        raise ValueError(f"bisect_tol must be >= 0, got {bisect_tol!r}")
     if dec is None:
         dec = decompose(sys)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
@@ -708,9 +689,9 @@ def hinf_norm_T(
     tau_sum = float(tau.sum())
     lobe = 2.0 * math.pi / tau_sum if tau_sum > 0.0 else None
     omega_low = 10.0 * (1.0 + params.scale)
-    step = lobe / scan_density if lobe else omega_low / 10000.0
+    step = lobe / SCAN_DENSITY if lobe else omega_low / 10000.0
 
-    s, period, ta_sup = _tail_sup_Ta(dec, tau, step, max_scan_points // 2)
+    s, period, ta_sup = _tail_sup_Ta(dec, tau, step, MAX_SCAN_POINTS // 2)
     # Rigorous tail cap: beyond it the response cannot rise above the level
     # of a grid maximum unless the asymptotic branch already dominates.
     tail_ub = ta.value if ta_sup is None else ta_sup * (1.0 + 1e-6)
@@ -729,7 +710,7 @@ def hinf_norm_T(
         return sig[:, 0]
 
     omegas, sigma1, omega_scan, omega_cap, truncated = _scan(
-        scan, cap, step, lobe, omega_low, period, max_scan_points)
+        scan, cap, step, lobe, omega_low, period, MAX_SCAN_POINTS)
     tail_certified = omega_cap is not None
     omega_cap = omega_cap if tail_certified else omega_scan
     xi_grid = float(sigma1.max())
@@ -787,7 +768,8 @@ def strong_hinf_norm_T(
     sys: DdaeSystem,
     dec: BlockDecomposition | None = None,
     tau=None,
-    **hinf_opts,
+    *,
+    bisect_tol: float = DEFAULT_BISECT_TOL,
 ) -> NormResult:
     """Strong H-infinity norm: ``max(||T||_inf, strong norm of T_a)``.
 
@@ -798,13 +780,12 @@ def strong_hinf_norm_T(
     larger of the components' own ``value + abs_tol``, so the plain branch's
     uncertainty (an uncertified tail, say) is kept when the asymptotic branch
     wins.  Unlike the plain norm, this quantity is continuous in the delay
-    parameters.  ``hinf_opts`` are passed to :func:`hinf_norm_T`; the torus
-    sweep takes its default grid.
+    parameters.  ``bisect_tol`` is passed to :func:`hinf_norm_T`.
     """
     if dec is None:
         dec = decompose(sys)
     ta = strong_norm_Ta(dec)
-    plain = hinf_norm_T(sys, dec, tau, ta_result=ta, **hinf_opts)
+    plain = hinf_norm_T(sys, dec, tau, bisect_tol=bisect_tol, ta_result=ta)
     value = max(plain.value, ta.value)
     tie = abs(plain.value - ta.value) <= plain.rel_tol * max(plain.value, ta.value)
     asymptotic = ta.value >= plain.value or tie

@@ -52,7 +52,6 @@ its value at ``theta``, and the torus grids hold one point of each such pair.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -452,11 +451,6 @@ class SvCurve:
 
     def to_json(self, path=None):
         return _write_json(self.to_dict(), path)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def sweep(

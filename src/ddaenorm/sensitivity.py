@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DdaeError, DimensionError
 from .fileio import _write_csv, _write_json
-from .norms import hinf_norm_T, strong_norm_Ta
+from .norms import DEFAULT_BISECT_TOL, hinf_norm_T, strong_norm_Ta
 from .system_model import BlockDecomposition, DdaeSystem, _check_delays, decompose
 
 __all__ = [
@@ -168,13 +168,14 @@ def run_perturbation_study(
     sys: DdaeSystem,
     study: PerturbationStudy,
     dec: BlockDecomposition | None = None,
-    **hinf_opts,
+    *,
+    bisect_tol: float = DEFAULT_BISECT_TOL,
 ) -> PerturbationStudy:
     """Fill a study with per-sample H-infinity norms of the perturbed system.
 
     Per-record solver failures are recorded, never abort the study.  The
     strong norm of T_a is delay-independent, so it is computed once and
-    shared across all records.
+    shared across all records.  ``bisect_tol`` is passed to :func:`hinf_norm_T`.
     """
     if study.tau.size != sys.m:
         raise DimensionError(f"study has {study.tau.size} delays, system has {sys.m}")
@@ -189,7 +190,7 @@ def run_perturbation_study(
     study.records = []
     for vec in sample_delays(study):
         try:
-            res = hinf_norm_T(sys, dec, tau=vec, ta_result=ta, **hinf_opts)
+            res = hinf_norm_T(sys, dec, tau=vec, bisect_tol=bisect_tol, ta_result=ta)
             study.records.append(
                 PerturbationRecord(
                     tau_sample=tuple(float(t) for t in vec),

@@ -52,6 +52,9 @@ _UNDERFLOW = 1e-150
 # of its bound pass.
 _EIG_BATCH = 64
 _BOUND_PART = 256
+# The most points a full torus grid may have: 2**24 (8 per delay at m = 8);
+# m = 9 with 8 points per delay would hold about 4.8 GB of rows.
+_MAX_TORUS_POINTS = 2 ** 24
 
 
 def _as_real(x, name) -> np.ndarray:
@@ -249,7 +252,8 @@ class BlockDecomposition:
     @cached_property
     def gamma_a(self) -> float:
         """gamma_a on the default grid (:func:`check_difference_stability`);
-        raises :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0."""
+        raises :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0,
+        and :class:`DimensionError` for m >= 9 (see :func:`_torus_grid`)."""
         return _difference_radius(self, _default_diff_grid(self.m))
 
     @cached_property
@@ -326,8 +330,12 @@ def _torus_grid(m: int, grid_per_dim: int) -> np.ndarray:
     ``(g**m + 2**m) / 2`` of them for even ``g`` and ``(g**m + 1) / 2`` for odd.
     A row is kept when its first coordinate that is not its own mirror (``0``,
     or ``pi`` for even ``g``) lies in ``(0, pi)``; the grid is built from that
-    rule one leading coordinate at a time.
+    rule one leading coordinate at a time.  A full grid of more than
+    ``_MAX_TORUS_POINTS`` points raises :class:`DimensionError`.
     """
+    if grid_per_dim ** m > _MAX_TORUS_POINTS:
+        raise DimensionError(
+            f"a torus grid of {grid_per_dim}**{m} points is over the limit of 2**24")
     g = grid_per_dim
     theta = 2.0 * np.pi * np.arange(g) / g
     low = theta[1:(g + 1) // 2]  # (0, pi): the smaller point of each pair
@@ -482,7 +490,9 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     the pair of every coarse point lies in the doubled grid.  Only the samples
     whose Gelfand bound ``||F^8||^(1/8)`` (plus a rounding slack) exceeds the
     largest radius found are decomposed, so the value is the whole grid's,
-    bit for bit, at a fraction of the ``eigvals`` calls.
+    bit for bit, at a fraction of the ``eigvals`` calls.  A grid of more
+    than ``2**24`` points (the default one from m = 9 on) raises
+    :class:`DimensionError`.
     """
     if dec.m == 0:
         return 0.0

@@ -10,7 +10,7 @@ import pytest
 import ddaenorm
 from ddaenorm import load_system, save_system
 from ddaenorm.cli import main
-from conftest import make_sys_a, make_sys_b
+from conftest import dense_stable_system, make_sys_a, make_sys_b
 
 
 @pytest.fixture()
@@ -193,6 +193,20 @@ class TestNorm:
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(doc))
         assert main(["norm", str(path), "--kind", "hinf"]) == 2
+
+    @pytest.mark.parametrize("kind", ["strong", "hinf"])
+    def test_five_delays_compute(self, tmp_path, capsys, kind):
+        path = tmp_path / "m5.json"
+        save_system(dense_stable_system(3, 6, m=5, tau=np.linspace(1.0, 3.0, 5)), path)
+        assert main(["norm", str(path), "--kind", kind]) == 0
+
+    @pytest.mark.parametrize("command", [["check"], ["norm"], ["norm", "--kind", "hinf"],
+                                         ["norm", "--kind", "strong-ta"]])
+    def test_nine_delays_exceed_the_torus_limit(self, tmp_path, capsys, command):
+        path = tmp_path / "m9.json"
+        save_system(dense_stable_system(3, 6, m=9, tau=np.arange(1.0, 10.0)), path)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert "over the limit of 2**24" in capsys.readouterr().err
 
 
 class TestPerturb:

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ddaenorm import (
     BRANCH_ASYMPTOTIC,
     BRANCH_PLAIN,
     DdaeSystem,
+    DimensionError,
     InstabilityError,
     PerturbationStudy,
     UnboundedNormError,
@@ -84,30 +86,29 @@ class TestStrongNormTa:
         res = strong_norm_Ta(dec)
         assert res.value >= sig[:, 0].max() - 1e-6
 
-    def test_refuses_large_torus_without_override(self):
+    def test_five_delays_take_the_grid_rule(self):
         rng = np.random.default_rng(0)
         n, m = 6, 5
         A = [np.eye(n)] + [1e-3 * rng.standard_normal((n, n)) for _ in range(m)]
         sys = DdaeSystem(E=np.zeros((n, n)), A=tuple(A), B=np.eye(n), C=np.eye(n),
                          tau=np.linspace(1.0, 2.0, m))
-        with pytest.raises(ValueError):
-            strong_norm_Ta(decompose(sys))
-        res = strong_norm_Ta(decompose(sys), grid_per_dim=4)
+        dec = decompose(sys)
+        res = strong_norm_Ta(dec)
         assert res.value > 0.0
+        assert res == norms._torus_maximum(dec, 8)
 
-    @pytest.mark.parametrize("g, message", [
-        (130.5, "grid_per_dim must be an integer, got 130.5"),
-        (64.0, "grid_per_dim must be an integer, got 64.0"),
-        ("64", "grid_per_dim must be an integer, got '64'"),
-        (True, "grid_per_dim must be at least 2"),
-    ])
-    def test_non_integral_grid_rejected(self, sys_a, g, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            strong_norm_Ta(decompose(sys_a), grid_per_dim=g)
+    @pytest.mark.parametrize("m, g", [(1, 400), (2, 400), (3, 64), (4, 16), (5, 8), (6, 8),
+                                      (7, 4), (8, 4)])
+    def test_grid_rule(self, monkeypatch, m, g):
+        monkeypatch.setattr(norms, "_torus_maximum", lambda dec, g: g)
+        assert strong_norm_Ta(SimpleNamespace(m=m)) == g
 
-    def test_integral_grid_accepted(self, sys_a):
-        dec = decompose(sys_a)
-        assert strong_norm_Ta(dec, grid_per_dim=np.int64(41)) == strong_norm_Ta(dec, 41)
+    @pytest.mark.parametrize("m, points", [(1, 201), (3, 131_076), (4, 32_776), (5, 16_400),
+                                           (6, 131_104)])
+    def test_unpruned_grid_points(self, m, points):
+        # (g**m + 2**m) / 2 rows of the half grid: m = 2 is pruned, so not pinned
+        dec = decompose(dense_stable_system(3, 6, m=m, tau=np.linspace(1.0, 3.5, m)))
+        assert strong_norm_Ta(dec).diagnostics["grid_points"] == points
 
     def test_unbounded_when_difference_part_unstable(self):
         # gamma_a > 1: a torus point makes A22 singular.
@@ -215,31 +216,53 @@ class TestHinfNorm:
         assert len(flagged) == 1
         assert f"omega={flagged[0]:.6g}" in str(err.value)
 
-    def test_one_pass_beats_the_level_loop(self):
+    def test_one_pass_beats_the_level_loop(self, monkeypatch):
         # the level loop reached 3.9215563161592155 here only in a second
         # iteration, after its first polish fell below a scan sample
-        res = hinf_norm_T(random_stable_system(6), scan_density=4)
+        monkeypatch.setattr(norms, "SCAN_DENSITY", 4)
+        res = hinf_norm_T(random_stable_system(6))
         assert res.value > 3.9215563161592155
         assert res.diagnostics["scan_points"] == 80
 
-    def test_start_at_zero_frequency_climbs(self):
+    def test_start_at_zero_frequency_climbs(self, monkeypatch):
         # a peak within one step of w = 0, whose grid maximum is w = 0: the
         # gradient vanishes there, so only the hard-case step leaves it
-        res = hinf_norm_T(random_stable_system(36), scan_density=4)
+        monkeypatch.setattr(norms, "SCAN_DENSITY", 4)
+        res = hinf_norm_T(random_stable_system(36))
         assert res.value >= 2.298363774500912 * (1.0 - 1e-14)
 
     @pytest.mark.parametrize("option, value", [
-        ("scan_density", 0), ("scan_density", -3), ("max_scan_points", 1),
         ("bisect_tol", -1e-3), ("bisect_tol", float("nan")),
     ])
     def test_out_of_range_option_rejected(self, sys_a, option, value):
         with pytest.raises(ValueError, match=option):
             hinf_norm_T(sys_a, **{option: value})
 
-    def test_two_scan_points_give_an_honest_bracket(self, sys_a):
-        res = hinf_norm_T(sys_a, max_scan_points=2)
+    def test_two_scan_points_give_an_honest_bracket(self, sys_a, monkeypatch):
+        monkeypatch.setattr(norms, "MAX_SCAN_POINTS", 2)
+        res = hinf_norm_T(sys_a)
         assert res.value == 2.0 and res.abs_tol == 2.0
         assert res.diagnostics["scan_truncated"]
+
+
+class TestTorusGridLimit:
+    """Nine delays put the gamma_a grid of 8 points per delay over 2**24 points."""
+
+    @pytest.fixture()
+    def sys9(self):
+        return dense_stable_system(3, 6, m=9, tau=np.arange(1.0, 10.0))
+
+    def test_gamma_a(self, sys9):
+        with pytest.raises(DimensionError, match=re.escape("8**9 points")):
+            decompose(sys9).gamma_a
+
+    @pytest.mark.parametrize("norm", [strong_norm_Ta, hinf_norm_T, strong_hinf_norm_T])
+    def test_norms(self, sys9, norm):
+        with pytest.raises(DimensionError, match="over the limit of 2"):
+            norm(decompose(sys9)) if norm is strong_norm_Ta else norm(sys9)
+
+    def test_coarse_grid_still_computes(self, sys9):
+        assert 0.0 < check_difference_stability(decompose(sys9), grid_per_dim=2) < 1.0
 
 
 class TestStrongHinfNorm:
@@ -615,7 +638,7 @@ class TestTorusAscent:
     def test_local_maximum(self, sys):
         dec = decompose(sys)
         m = dec.m
-        res = strong_norm_Ta(dec, grid_per_dim={1: 64, 2: 48, 3: 16}[m])
+        res = norms._torus_maximum(dec, {1: 64, 2: 48, 3: 16}[m])
         value, at = res.value, np.array(res.attained_at)
         assert value >= res.diagnostics["grid_max"]
         [again] = sigma_Ta_torus_samples(dec, at[None])[0][:, 0]
@@ -658,7 +681,7 @@ class TestPrunedSweep:
         i, j = int(np.argmax(whole)), int(np.argmax(pruned))
         assert pruned[j] == whole[i]
         assert rows[j].tolist() == grid[i].tolist()  # the first occurrence
-        res = strong_norm_Ta(dec, grid_per_dim=g)
+        res = norms._torus_maximum(dec, g)
         assert res.diagnostics["grid_max"] == whole[i]
         assert res.diagnostics["grid_points"] == len(rows)
 
@@ -681,7 +704,7 @@ class TestPrunedSweep:
         assert not ok.all()
         bad = tuple(grid[int(np.argmax(~ok))].tolist())
         with pytest.raises(UnboundedNormError, match=re.escape(f"theta={bad};")):
-            strong_norm_Ta(dec, grid_per_dim=self.g)
+            norms._torus_maximum(dec, self.g)
 
 
 def _full_torus_grid(m, g):
@@ -703,7 +726,7 @@ class TestHalfTorusMatchesFullGrid:
     def test_values(self, make, g):
         dec = decompose(make())
         m = dec.m
-        res = strong_norm_Ta(dec, grid_per_dim=g)
+        res = norms._torus_maximum(dec, g) if g else strong_norm_Ta(dec)
         g_sweep = res.diagnostics["grid_per_dim"]
         sig, ok = sigma_Ta_torus_samples(dec, _full_torus_grid(m, g_sweep))
         assert ok.all()

@@ -114,16 +114,17 @@ class TestStudies:
         run_perturbation_study(sys_a, study)
         assert study.max_hinf <= strong + 1e-3
 
-    def test_monotone_approach_to_strong_norm(self, sys_a):
+    def test_monotone_approach_to_strong_norm(self, sys_a, monkeypatch):
         # hinf at (1 - 10^-k, 2) climbs toward 4 as the perturbation shrinks.
         # The reported value is the smallest-frequency peak inside the level
         # tie window, so it may sit up to one window width below the best
         # peak; the best peaks themselves must be monotone.
-        from ddaenorm import hinf_norm_T
+        from ddaenorm import hinf_norm_T, norms
         dec = decompose(sys_a)
         values, peaks, tols = [], [], []
-        for k, opts in ((2, {}), (3, {}), (4, {"scan_density": 32})):
-            res = hinf_norm_T(sys_a, dec, tau=[1.0 - 10.0 ** (-k), 2.0], **opts)
+        for k, density in ((2, norms.SCAN_DENSITY), (3, norms.SCAN_DENSITY), (4, 32)):
+            monkeypatch.setattr(norms, "SCAN_DENSITY", density)
+            res = hinf_norm_T(sys_a, dec, tau=[1.0 - 10.0 ** (-k), 2.0])
             values.append(res.value)
             peaks.append(res.diagnostics["global_peak"])
             tols.append(res.rel_tol * res.value)

@@ -309,6 +309,11 @@ class TestValidateSystem:
         report = validate_system(sys_a, axis_scan_omega_max=20.0)
         assert report.axis_margin is not None and report.axis_margin > 1e-3
 
+    def test_grid_over_the_torus_limit_refused(self, sys_a):
+        # 4097**2 > 2**24, and the grid is refused before any row is built
+        with pytest.raises(DimensionError, match=re.escape("4097**2 points")):
+            validate_system(sys_a, grid_per_dim=4097)
+
     @pytest.mark.parametrize("E", [[[0.0]], [[1.0]]], ids=["ill-posed", "ode"])
     @pytest.mark.parametrize("options, name", [
         ({"axis_scan_omega_max": math.nan}, "omega_max"),
