@@ -31,6 +31,8 @@ import numpy as np
 
 from .errors import InstabilityError, UnboundedNormError
 from .response import (
+    _sigma_chunk,
+    _singular_values,
     sigma_T_samples,
     sigma_Ta_samples,
     sigma_Ta_torus_samples,
@@ -79,11 +81,9 @@ _STENCIL_RADIUS = 1e-5
 _MAX_ASCENT = 60
 # Inflation of the torus resolvent estimate in the high-frequency envelope.
 _BOUND_SAFETY = 2.0
-# The strong-norm sweep skips cells of _CELL grid steps per dimension that
-# cannot hold its maximum (see _sweep_rows), on grids with m >= 2 delays and at
-# least _PRUNE_MIN_G points per dimension; coarser grids are swept whole.
+# The strong-norm sweep skips cells of _CELL grid steps per dimension, and then
+# of half as many, that cannot hold its maximum (see _sweep_rows).
 _CELL = 8
-_PRUNE_MIN_G = 16 * _CELL
 
 
 @dataclass(frozen=True)
@@ -145,104 +145,197 @@ def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
 
     Returns the half-grid rows, in their order, whose computed ``sigma_1`` may
     reach the largest one, so that the grid maximum, its first occurrence and
-    the first singular row are those of the whole grid, bit for bit.  Grids
-    with ``m < 2`` or ``g < _PRUNE_MIN_G`` are returned whole.
+    the first singular row are those of the whole grid, bit for bit.
 
-    Cells of ``_CELL`` grid steps per dimension cover the full grid, each with
-    a grid point ``c`` at its centre and every point within ``r_i`` steps of
-    ``h = 2 pi / g`` in dimension ``i``; only cells that hold half-grid rows
-    are used.  Norms are spectral norms, bounded by Frobenius norms where
-    marked ``_F``.  The torus matrix ``M`` satisfies ``||M(theta) - M(c)|| <=
-    delta = h sum_i r_i ||A22[i]||``, since ``|e^{-j theta} - e^{-j c}| <=
-    |theta - c|``.  With ``G = ||M(c)^{-1}||_F`` and ``q = delta G <= 1/2``, the
-    Neumann series gives, on every point of the cell,
-
-        ``sigma_1(T(theta)) <= sigma_1(T(c)) + ||C2 M(c)^{-1}||_F delta
-        ||M(c)^{-1} B2||_F / (1 - q)``,
-
-    and ``kappa = a G / (1 - q)``, with ``a = sum_{i>=0} ||A22[i]|| >= ||M||``,
-    bounds the condition number of ``M``.  ``sigma_1(T(c))`` is the sampler's
-    value; the norms come from one batched ``inv``.  A cell is skipped when
-    ``q <= 1/2``, ``u kappa <= 1e-3`` (``u = _ROUNDING_SLACK (n + m) eps``) and
-    its bound plus twice the rounding slack and ``_UNDERFLOW`` lies below ``t``,
-    the largest centre value on a half-grid row.  ``t`` is a value the sweep
-    computes, so every skipped row computes below the sweep's maximum.
-
-    Rounding.  A computed ``sigma_1`` is the exact one of a pencil perturbed by
-    the assembly (``(2 m + 2) eps`` times the entries' sums) and by the
-    solve's backward error (``p(n) eps ||M||``, ``p(n)`` a modest multiple of
-    ``n``, as partial pivoting's growth factor is in practice), plus the
-    roundoff of ``C2 X`` and of the singular values: at most ``u a
-    ||C2||_F ||B2||_F ||M(theta)^{-1}||^2``, the slack, on every point of the
-    cell.  Twice the slack covers the centre's value and the skipped row's.  The
-    centre's norms come from a computed inverse, off by at most ``u kappa <=
-    1e-3`` relative, and ``delta`` from rounded grid points: a factor 1.01 on
-    ``delta`` and on the three norms covers both.  ``_UNDERFLOW`` covers
-    squares of tiny entries that underflow in the sampler's singular values.
-
-    Singular rows.  ``u kappa <= 1e-3`` puts ``kappa`` below ``2.5e10``, far
-    below ``1 / RCOND_MIN``, so no row of a skipped cell can be flagged (the
-    sampler's test is one-sided) and the first flagged row of the sweep is the
-    whole grid's.  A cell whose centre is flagged is never skipped.
+    Two levels of cells cover the grid: blocks of ``_CELL`` grid steps per
+    dimension, then blocks of ``_CELL // 2``, clipped at the grid's edge.  A
+    level takes the cells that still hold half-grid rows, each with a grid
+    point ``c`` at its centre and every point within ``r_i`` steps of ``h = 2
+    pi / g`` in dimension ``i``, and :func:`_cell_bounds` gives the sampler's
+    value at ``c`` and a bound of ``sigma_1`` on the cell that covers the
+    rounding of every computed row.  A cell is skipped when its bound lies
+    below ``t``, the largest value at a centre that is a half-grid row, over
+    this level and the ones before.  ``t`` is a value the sweep computes, so
+    every skipped row computes below the sweep's maximum.  A cell whose centre
+    is flagged singular is never skipped, and no row of a skipped cell can be
+    flagged, so the first flagged row of the sweep is the whole grid's.  An
+    exactly singular centre that the sampler passed (numpy's ``inv`` rejects
+    it) returns the whole half grid.
     """
     m = dec.m
-    if m < 2 or g < _PRUNE_MIN_G:
-        return _torus_grid(m, g)
     theta = 2.0 * np.pi * np.arange(g) / g
-    lo = np.arange(0, g, _CELL)  # each block of _CELL indices per dimension
-    size = np.minimum(lo + _CELL, g) - lo
-    centre, radius = lo + size // 2, size // 2
-    nb, nb0 = lo.size, g // 2 // _CELL + 1  # blocks; leading blocks holding half-grid rows
-    blocks = np.stack(np.meshgrid(np.arange(nb0), *[np.arange(nb)] * (m - 1), indexing="ij"),
-                      axis=-1).reshape(-1, m)
-    index = centre[blocks]
-    # The rows of _torus_grid: the first coordinate that is not its own mirror
-    # lies in (0, pi), or every coordinate is its own mirror.
     i = np.arange(g)
     low, own = (0 < 2 * i) & (2 * i < g), (i == 0) | (2 * i == g)
+    half, t = _half_rows(low, own, m), -np.inf
+    bounds = _cell_bounds(dec)
+    for w in (_CELL, _CELL // 2):
+        lo = np.arange(0, g, w)
+        size = np.minimum(lo + w, g) - lo
+        # the cells that hold half-grid rows, and at the second level an open parent
+        held = _half_rows(np.logical_or.reduceat(low, lo), np.logical_or.reduceat(own, lo), m)
+        if w < _CELL:
+            held &= kept[np.ix_(*[lo // _CELL] * m)]
+        cells = np.argwhere(held)
+        index = (lo + size // 2)[cells]
+        try:
+            value, bound = bounds(theta[index], (2.0 * np.pi / g) * (size // 2)[cells])
+        except np.linalg.LinAlgError:
+            return _torus_grid(m, g)
+        t = np.fmax.reduce(value[half[tuple(index.T)]], initial=t)  # skips NaN (flagged)
+        kept = held
+        kept[tuple(cells[bound < t].T)] = False
+    for axis in range(m):
+        kept = np.repeat(kept, size, axis=axis)
+    rows = np.flatnonzero(half & kept)  # flat C-order indices, as the half grid runs
+    return theta[rows[:, None] // g ** np.arange(m - 1, -1, -1) % g]
+
+
+def _half_rows(low, own, m: int) -> np.ndarray:
+    """The rows of :func:`_torus_grid` as a mask: the first coordinate that is
+    not its own mirror lies in (0, pi), or every coordinate is its own mirror.
+
+    ``low`` and ``own`` flag these per grid index; given per block of
+    indices (whether the block holds one), the mask flags the cells that hold
+    a row of the half grid.
+    """
     half = np.ones((), dtype=bool)
     for _ in range(m):
         half = low.reshape(-1, *[1] * half.ndim) | (own.reshape(-1, *[1] * half.ndim) & half)
-    centres = theta[index]
-    sig, ok = sigma_Ta_torus_samples(dec, centres)
-    value = sig[:, 0]  # NaN where flagged
-    t = np.max(value[half[tuple(index.T)] & ok], initial=-np.inf)
+    return half
 
-    n, B2, C2 = dec.nu, dec.B2, dec.C2
-    inv_norms = np.full((len(centres), 3), np.nan)
-    try:
-        inv_norms[ok] = np.concatenate(_pencil_map(
-            lambda M: _inverse_norms(M, B2, C2), dec.pencil_basis, thetas=centres[ok],
-            rhs=n + B2.shape[1] + C2.shape[0]))
-    except np.linalg.LinAlgError:  # an exactly singular pivot where the sampler saw none
-        return _torus_grid(m, g)
+
+def _cell_bounds(dec: BlockDecomposition):
+    """A map from torus cells to the sampler's ``sigma_1`` at their centres and bounds on them.
+
+    The map takes ``centres`` and half-widths ``r``, both (K, m): a cell holds
+    the points within ``r[k, i]`` of ``centres[k, i]`` in each dimension.  It
+    returns ``(value, bound)``: ``value`` is NaN where the sampler flags the
+    centre, ``bound`` is ``inf`` there and wherever the conditions below
+    fail.  Norms are spectral norms, bounded by Frobenius norms where
+    marked ``_F``.
+
+    The bound.  With ``M(theta) = -A22[0] - sum_i A22[i] e^{-j theta_i}``,
+    ``G = M(c)^{-1}``, ``J_i = -j e^{-j c_i} C2 G A22[i] G B2``, ``delta =
+    sum_i r_i ||A22[i]||`` and ``q = delta ||G||_F <= 1/2``, on every point of
+    the cell
+
+        ``sigma_1(T(theta)) <= max over the 2^m vertices v of sigma_1(T(c) +
+        sum_i v_i r_i J_i) + sum_i ||J_i||_F r_i^2 / 2
+        + ||C2 G||_F delta^2 ||G||_F ||G B2||_F / (1 - q)``.
+
+    ``M(theta) = M(c) + D`` with ``||D|| <= delta``, since ``|e^{-j theta} -
+    e^{-j c}| <= |theta - c|``, and the Neumann series gives ``T(theta) =
+    T(c) - C2 G D G B2`` up to the last (Neumann) term.  ``-C2 G D G B2`` is
+    ``sum_i (theta_i - c_i) J_i`` up to the middle (phase) term, as
+    ``|e^{-j s} - 1 + j s| <= s^2 / 2``.  ``sigma_1`` of the affine model is
+    convex in ``theta``, so its maximum over the box lies at a vertex.
+    ``kappa = a ||G||_F / (1 - q)``, with ``a = sum_{i>=0} ||A22[i]|| >=
+    ||M||``, bounds the condition number of ``M`` on the cell.  The
+    conditions are ``q <= 1/2`` and ``u kappa <= 1e-3``, with ``u =
+    _ROUNDING_SLACK (n + m) eps``.
+
+    Rounding.  With ``s = u kappa ||C2||_F ||G||_F ||B2||_F / (1 - q)``, the
+    errors below add up to at most ``5.6 s``, and the bound adds ``6 s +
+    _UNDERFLOW``.  The computed inverse ``X`` is off by ``||X - G|| <= u kappa
+    ||G||``, as a solve's backward error ``p(n) eps ||M||`` (``p(n)`` a modest
+    multiple of ``n``, as partial pivoting's growth factor is in practice) is
+    amplified by the condition number.
+
+    * A computed row's ``sigma_1`` against the exact one (``s``): it is the
+      exact one of a pencil perturbed by the assembly (``(2 m + 2) eps`` times
+      the entries' sums) and by the solve's backward error, plus the roundoff
+      of ``C2 X`` and of the singular values.
+    * ``T(c)`` from ``X`` (``s``).
+    * The ``J_i`` from ``X``, each off by ``2.001 u kappa ||A22[i]||
+      ||G||^2 ||C2|| ||B2||``: ``2.001 q s <= 1.001 s`` over the vertex model,
+      and at most ``r_i / 2 <= 1.6`` times that over the phase term.
+    * The vertex sums, their phases and their ``sigma_1`` (``s``).
+
+    ``||G||_F``, ``||C2 G||_F`` and ``||G B2||_F`` from ``X`` carry its
+    relative error (``u kappa <= 1e-3``), the ``||J_i||_F`` the roundoff of
+    their sums, and ``r`` the rounding of the grid points: a factor 1.01 on
+    each covers it.  ``_UNDERFLOW`` covers squares of tiny entries that
+    underflow.  ``u kappa <= 1e-3`` puts ``kappa`` below ``2.5e10``, far below
+    ``1 / RCOND_MIN``, so the sampler (whose test is one-sided) flags no point
+    of the cell.
+    """
+    n, m = dec.nu, dec.m
+    B2, C2, A = dec.B2, dec.C2, np.concatenate(dec.A22[1:], axis=1)
+    shape = len(C2), B2.shape[1]
     a = np.array([_spectral_norm(Ai) for Ai in dec.A22])
     c2, b2 = _frobenius(C2[None])[0], _frobenius(B2[None])[0]
     u = _ROUNDING_SLACK * (n + m) * np.finfo(float).eps
+    signs = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)  # (2^m, m) vertices
+
+    def bounds(centres, r):
+        value, ok, T, P, norms = (np.concatenate(x) for x in zip(*_pencil_map(
+            lambda M: _centre_chunk(M, B2, C2, A), dec.pencil_basis, thetas=centres,
+            rhs=n + m * shape[0] * shape[1] + 2 * shape[1] + 1)))
+        r, K, V = 1.01 * r[ok], len(T), len(signs)
+        ginv, cg, gb = 1.01 * norms[:, :3].T
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            D = np.empty(r.shape, dtype=complex)  # r_i J_i = D_i C2 G A22[i] G B2
+            D.real, D.imag = -r * np.sin(centres[ok]), -r * np.cos(centres[ok])
+            S = (D[:, :, None] * P).transpose(1, 0, 2).reshape(m, K * T.shape[1])
+            vertices = (signs @ S).reshape(V, K, T.shape[1]) + T
+            top = _singular_values(vertices.reshape(V * K, *shape))[:, 0].reshape(V, K).max(0)
+            delta = r @ a[1:]
+            q = delta * ginv
+            G = ginv / (1.0 - q)
+            kappa = a.sum() * G
+            cell = (top + 1.01 * (norms[:, 3:] * r * r).sum(1) / 2
+                    + cg * delta * delta * ginv * gb / (1.0 - q)
+                    + 6.0 * u * kappa * c2 * G * b2 + _UNDERFLOW)
+            cell[~((q <= 0.5) & (u * kappa <= 1e-3))] = np.inf
+        bound = np.full(len(value), np.inf)
+        bound[ok] = cell
+        return value, bound
+
+    return bounds
+
+
+def _centre_chunk(M, B, C, A):
+    """:func:`_cell_bounds` at the centres' pencils ``M``, with ``A = [A22[1] .. A22[m]]``.
+
+    Returns the sampler's ``sigma_1`` (NaN where flagged) and flags, and at
+    the passing centres, with ``G = M^{-1}`` (in closed form for ``n <= 2``),
+    ``T(c) = C G B`` and the ``C G A22[i] G B`` (each flattened), and the
+    Frobenius norms of ``G``, ``C G``, ``G B`` and of each ``C G A22[i] G B``.
+    """
+    sig, ok = _sigma_chunk(M, B, C)
+    M = M[ok]
+    K, n, _ = M.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        delta = 1.01 * (2.0 * np.pi / g) * (radius[blocks] @ a[1:])
-        ginv, cg, gb = 1.01 * inv_norms.T
-        q = delta * ginv
-        G = ginv / (1.0 - q)
-        kappa = a.sum() * G
-        bound = (value + cg * delta * gb / (1.0 - q)
-                 + 2.0 * u * kappa * c2 * G * b2 + _UNDERFLOW)
-        skip = (q <= 0.5) & (u * kappa <= 1e-3) & (bound < t)
-    keep = (~skip).reshape(nb0, *[nb] * (m - 1))
-    cell = np.arange(g) // _CELL
-    rows = half & keep[np.ix_(np.minimum(cell, nb0 - 1), *[cell] * (m - 1))]
-    return np.stack([theta[i] for i in np.nonzero(rows)], axis=1)
+        if n > 2:
+            X = np.linalg.inv(M)
+        elif n == 1:
+            X = 1.0 / M
+        else:
+            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+            X = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
+            X = (X / det[:, None]).reshape(K, 2, 2)
+        p, q, m = len(C), B.shape[1], A.shape[1] // max(n, 1)
+        XB = (X.reshape(-1, n) @ B).reshape(K, n, q)
+        CX = (C @ X.transpose(1, 0, 2).reshape(n, -1)).reshape(p, K, n).transpose(1, 0, 2)
+        CX = CX.reshape(-1, n)
+        CXA = (CX @ A).reshape(K, p, m, n)
+        P = sum(CXA[..., j, None] * XB[:, None, None, j] for j in range(n))  # (K, p, m, q)
+        P = P.transpose(0, 2, 1, 3).reshape(K, m, p * q)
+        norms = np.column_stack([_frobenius(X), _frobenius(CX.reshape(K, p, n)), _frobenius(XB),
+                                 _frobenius(P.reshape(K * m, p, q)).reshape(K, m)])
+    return sig[:, 0], ok, (CX @ B).reshape(K, p * q), P, norms
 
 
 def _frobenius(X) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, without underflow or overflow in squares."""
-    return np.hypot.reduce(np.abs(X).reshape(len(X), -1), axis=1, initial=0.0)
+    """An upper bound of the Frobenius norm of each matrix of a stack, to rounding.
 
-
-def _inverse_norms(M, B, C) -> np.ndarray:
-    """``||M^{-1}||_F``, ``||C M^{-1}||_F`` and ``||M^{-1} B||_F`` per sample."""
-    G = np.linalg.inv(M)
-    return np.stack([_frobenius(G), _frobenius(C @ G), _frobenius(G @ B)], axis=1)
+    A square that underflows loses less than the smallest normal number, which
+    is added back for each; one that overflows gives ``inf``.
+    """
+    V = np.ascontiguousarray(X)
+    V = V.view(np.float64) if np.iscomplexobj(V) else V
+    V = V.reshape(len(V), math.prod(V.shape[1:]))
+    return np.sqrt(np.einsum("ki,ki->k", V, V) + V.shape[1] * np.finfo(float).tiny)
 
 
 def _ascent(f, x, best, delta, r, tol, lo=None, hi=None):
@@ -366,11 +459,11 @@ def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:
     at ``theta`` and ``-theta``, the grid holds one point of each such pair,
     the lexicographically smaller (about half the points).  Grid points
     tie-break to the lexicographically smallest torus point, as on the full
-    grid.  On grids with m >= 2 and at least 128 points per dimension, the
-    sweep skips the rows that a cell bound (:func:`_sweep_rows`) proves to
-    compute below the grid maximum; the grid maximum, its location, the first
-    singular torus matrix and so the whole result are those of the whole grid,
-    bit for bit.  ``diagnostics["grid_points"]`` counts the rows swept.
+    grid.  The sweep skips the rows that a second-order cell bound
+    (:func:`_sweep_rows`) proves to compute below the grid maximum; the grid
+    maximum, its location, the first singular torus matrix and so the whole
+    result are those of the whole grid, bit for bit.
+    ``diagnostics["grid_points"]`` counts the rows swept.
 
     Raises
     ------
@@ -380,7 +473,8 @@ def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:
         If the gamma_a grid (:attr:`BlockDecomposition.gamma_a`) has more
         than ``2**24`` points, as it has for m >= 9 delays.
     UnboundedNormError
-        If a singular torus matrix is encountered (gamma_a >= 1 regime).
+        If a singular torus matrix is encountered (gamma_a >= 1 regime), also
+        the constant one of a system without delays.
     """
     return _torus_maximum(dec, min(400, 2 ** (18 // max(dec.m, 1))))
 
@@ -402,7 +496,11 @@ def _torus_maximum(dec: BlockDecomposition, g: int) -> NormResult:
             stacklevel=3,
         )
     if m == 0:
-        value = float(_sigma1(sigma_Ta_torus_samples, dec, np.zeros((1, 0)))[0])
+        sig, ok = sigma_Ta_torus_samples(dec, np.zeros((1, 0)))
+        if not ok[0]:
+            raise UnboundedNormError("torus matrix singular at theta=(); the delay-difference "
+                                     "part is not strongly stable")
+        value = float(sig[0, 0])
         return NormResult(
             value=value, attained_at=(), branch=BRANCH_ASYMPTOTIC,
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,

@@ -273,20 +273,25 @@ def _sigma_2x2(T) -> np.ndarray:
 def _sigma_chunk(M, B, C):
     """Descending singular values of ``C M^{-1} B`` per sample, NaN where singular."""
     T, ok, _ = _transfer(M, B, C)
+    sig = _singular_values(T)
+    if len(sig) < len(ok):  # scatter the passing samples, NaN elsewhere
+        full = np.full((ok.size, sig.shape[1]), np.nan)
+        full[ok] = sig
+        sig = full
+    return sig, ok
+
+
+def _singular_values(T) -> np.ndarray:
+    """Descending singular values of each matrix of a stack ``(N, p, q)``."""
     N, p, q = T.shape
     if min(p, q) <= 1:  # a row or column: its one singular value is the 2-norm
         sig = np.abs(T).reshape(N, p * q)
         if p * q != 1:  # an empty row reduces to 0
             sig = np.hypot.reduce(sig, axis=1, keepdims=True)
-    elif p == q == 2:
-        sig = _sigma_2x2(T)
-    else:
-        sig = np.linalg.svd(T, compute_uv=False)
-    if N < len(ok):  # scatter the passing samples, NaN elsewhere
-        full = np.full((ok.size, sig.shape[1]), np.nan)
-        full[ok] = sig
-        sig = full
-    return sig, ok
+        return sig
+    if p == q == 2:
+        return _sigma_2x2(T)
+    return np.linalg.svd(T, compute_uv=False)
 
 
 def _sample(S, B, C, **samples):

@@ -194,6 +194,15 @@ class TestNorm:
         path.write_text(json.dumps(doc))
         assert main(["norm", str(path), "--kind", "hinf"]) == 2
 
+    def test_singular_delay_free_torus_is_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "m0.json"
+        save_system(ddaenorm.DdaeSystem(E=np.zeros((2, 2)), A=(np.diag([1e6, 2e-10]),),
+                                        B=np.eye(2), C=np.eye(2), tau=[]), path)
+        assert main(["norm", str(path), "--kind", "strong-ta", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "torus matrix singular at theta=()" in captured.err
+        assert "Infinity" not in captured.out
+
     @pytest.mark.parametrize("kind", ["strong", "hinf"])
     def test_five_delays_compute(self, tmp_path, capsys, kind):
         path = tmp_path / "m5.json"

@@ -105,10 +105,20 @@ class TestStrongNormTa:
 
     @pytest.mark.parametrize("m, points", [(1, 201), (3, 131_076), (4, 32_776), (5, 16_400),
                                            (6, 131_104)])
-    def test_unpruned_grid_points(self, m, points):
-        # (g**m + 2**m) / 2 rows of the half grid: m = 2 is pruned, so not pinned
+    def test_grid_points_within_the_half_grid(self, m, points):
+        # (g**m + 2**m) / 2 rows of the half grid, of which the pruned sweep takes some
+        g = min(400, 2 ** (18 // m))
+        assert len(_torus_grid(m, g)) == points
         dec = decompose(dense_stable_system(3, 6, m=m, tau=np.linspace(1.0, 3.5, m)))
-        assert strong_norm_Ta(dec).diagnostics["grid_points"] == points
+        assert 0 < strong_norm_Ta(dec).diagnostics["grid_points"] <= points
+
+    def test_no_delays_singular_is_unbounded(self):
+        # sigma_min(A22[0]) = 2e-10 passes Assumption 1's floor of 1e-10, but the
+        # ratio 2e-16 is flagged: the constant torus matrix is singular
+        sys = DdaeSystem(E=np.zeros((2, 2)), A=(np.diag([1e6, 2e-10]),), B=np.eye(2),
+                         C=np.eye(2), tau=[])
+        with pytest.raises(UnboundedNormError, match=re.escape("singular at theta=();")):
+            strong_norm_Ta(decompose(sys))
 
     def test_unbounded_when_difference_part_unstable(self):
         # gamma_a > 1: a torus point makes A22 singular.
@@ -550,26 +560,51 @@ class TestWideProbe:
 
 
 class TestTorusEvaluations:
-    """Points and calls of ``strong_norm_Ta``'s half-torus sweep and its polish."""
+    """Cells, points and calls of ``strong_norm_Ta``'s pruned half-torus sweep and its polish."""
 
-    @pytest.mark.parametrize("make, rows", [(make_sys_a, 945), (make_sys_b, 1_905)],
-                             ids=["SYS-A", "SYS-B"])
-    def test_sweep_and_polish(self, monkeypatch, make, rows):
-        seen = []
-        real = norms.sigma_Ta_torus_samples
+    @staticmethod
+    def _count(monkeypatch):
+        """Record the centres of each level of cells and the sampler's points per call."""
+        levels, seen = [], []
+        real_bounds, real_sample = norms._cell_bounds, norms.sigma_Ta_torus_samples
 
-        def counted(dec, thetas):
+        def bounds(dec):
+            cells = real_bounds(dec)
+
+            def counted(centres, r):
+                levels.append(len(centres))
+                return cells(centres, r)
+            return counted
+
+        def sample(dec, thetas):
             seen.append(len(thetas))
-            return real(dec, thetas)
+            return real_sample(dec, thetas)
 
-        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
+        monkeypatch.setattr(norms, "_cell_bounds", bounds)
+        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", sample)
+        return levels, seen
+
+    @pytest.mark.parametrize("make, cells, rows", [
+        (make_sys_a, [1_276, 40], 153),
+        (make_sys_b, [1_276, 52], 217),
+    ], ids=["SYS-A", "SYS-B"])
+    def test_sweep_and_polish(self, monkeypatch, make, cells, rows):
+        levels, seen = self._count(monkeypatch)
         res = strong_norm_Ta(decompose(make()))
-        assert seen[0] == 1_300  # one centre per 8 x 8 cell that holds half-grid rows: 26 * 50
+        # one centre per 8 x 8 cell that holds half-grid rows (25 * 50 + 26), then
+        # one per 4 x 4 cell of the cells still open
+        assert levels == cells
         # the pruned sweep, of the (400**2 + 2**2) / 2 = 80,002 rows of the half grid
-        assert seen[1] == rows == res.diagnostics["grid_points"]
+        assert seen[0] == rows == res.diagnostics["grid_points"]
         # one 5-point stencil: the grid maximum is a critical point, so the ascent stops there
-        assert sum(seen) == 1_300 + rows + 5
-        assert len(seen) == 3
+        assert seen[1:] == [5]
+
+    def test_pruned_three_delay_sweep(self, monkeypatch):
+        # 48,834 of the (64**3 + 2**3) / 2 = 131,076 rows of the half grid
+        levels, seen = self._count(monkeypatch)
+        res = strong_norm_Ta(decompose(dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0))))
+        assert levels == [293, 2_185]
+        assert seen[0] == res.diagnostics["grid_points"] == 48_834
 
     @pytest.mark.parametrize("make, most", [
         (make_sys_a, 20),
@@ -588,8 +623,8 @@ class TestTorusEvaluations:
         monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
         dec = decompose(make())
         res = strong_norm_Ta(dec)
-        sweep = seen.index(res.diagnostics["grid_points"])  # after the centres of a pruned grid
-        polish = seen[sweep + 1:]
+        assert seen[0] == res.diagnostics["grid_points"]  # the sweep, then the polish
+        polish = seen[1:]
         assert len(polish) == res.diagnostics["refine_cycles"] <= most
         stencil = dec.m * (dec.m + 3) // 2
         assert set(polish) <= {stencil, stencil + 1}  # a stencil, with the candidate or without
@@ -663,16 +698,50 @@ def _grid_index(thetas, g):
     return np.rint(thetas * (g / (2.0 * np.pi))).astype(int) @ g ** np.arange(thetas.shape[1])[::-1]
 
 
+class TestCellBound:
+    """The cell bound of the pruned sweep dominates ``sigma_1`` on its cell."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_dominates_the_cell(self, m, data):
+        # 16 cells with q <= 1/2: 8 anywhere, and 8 long in one direction near the
+        # smallest sigma_1 of a coarse grid, where sigma_1 curves up and the
+        # phase remainder is tight
+        dec = decompose(data.draw(_algebraic_systems(m)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grid = _torus_grid(m, 32)
+        low = grid[np.argmin(sigma_Ta_torus_samples(dec, grid)[0][:, 0])]
+        c = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, (8, m)),
+                            low + rng.normal(0.0, 0.05, (8, m)) * np.arange(8)[:, None]])
+        w = np.concatenate([rng.uniform(0.1, 1.0, (8, m)), rng.uniform(0.0, 0.1, (8, m))])
+        w[8 + np.arange(8), rng.integers(0, m, 8)] = 1.0
+        a = np.array([np.linalg.norm(Ai, 2) for Ai in dec.A22[1:]])
+        M = -dec.A22[0] - np.einsum("kij,ck->cij", np.array(dec.A22[1:]), np.exp(-1j * c))
+        G = np.linalg.norm(np.linalg.inv(M), axis=(1, 2))
+        # at most 0.99 / 2 for q = 1.01^2 (r @ a) ||G||_F, and at most 1.2 in the long direction
+        most = 0.99 * 0.5 / (1.01 ** 2 * G * (w @ a))
+        r = w * np.minimum(most, rng.uniform(0.1, 1.2, 16))[:, None]
+        value, bound = norms._cell_bounds(dec)(c, r)
+        assert np.isfinite(bound).all()
+        signs = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
+        points = np.concatenate([c[:, None] + r[:, None] * signs,
+                                 c[:, None] + r[:, None] * rng.uniform(-1.0, 1.0, (16, 64, m))],
+                                axis=1)
+        sig, ok = sigma_Ta_torus_samples(dec, points.reshape(-1, m))
+        assert ok.all()
+        assert (sig[:, 0].reshape(16, -1).max(axis=1) <= bound).all()
+
+
 class TestPrunedSweep:
     """The pruned strong-norm sweep against the whole half grid, evaluated in the test."""
 
-    g = norms._PRUNE_MIN_G  # the smallest grid that is pruned
+    g = 128
 
-    @settings(max_examples=40)
-    @given(_algebraic_systems())
-    def test_max_and_argmax_bit_for_bit(self, sys):
-        dec, g = decompose(sys), self.g
-        grid = _torus_grid(2, g)
+    @staticmethod
+    def _bit_for_bit(dec, g):
+        """Rows swept and rows of the half grid, once the sweep matches the whole grid."""
+        grid = _torus_grid(dec.m, g)
         rows = norms._sweep_rows(dec, g)
         kept = np.isin(_grid_index(grid, g), _grid_index(rows, g))
         np.testing.assert_array_equal(rows, grid[kept])  # a subsequence of the half grid
@@ -684,6 +753,19 @@ class TestPrunedSweep:
         res = norms._torus_maximum(dec, g)
         assert res.diagnostics["grid_max"] == whole[i]
         assert res.diagnostics["grid_points"] == len(rows)
+        return len(rows), len(grid)
+
+    @pytest.mark.parametrize("m, g", [(1, 64), (2, 128), (3, 32)])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_max_and_argmax_bit_for_bit(self, m, g, data):
+        self._bit_for_bit(decompose(data.draw(_algebraic_systems(m))), g)
+
+    @pytest.mark.parametrize("kind", ["near-one", "tied"])
+    @pytest.mark.parametrize("m, g", [(1, 64), (2, 128), (3, 32)])
+    def test_peaked_and_tied_grids_are_pruned(self, kind, m, g):
+        rows, whole = self._bit_for_bit(decompose(_algebraic_system(kind, 2, 2, 7, m)), g)
+        assert rows < whole
 
     @pytest.mark.filterwarnings("ignore:gamma_a")
     @settings(max_examples=20)
