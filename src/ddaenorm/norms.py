@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InstabilityError, UnboundedNormError
 from .response import (
+    _adjugate_map,
     _sigma_chunk,
     _singular_values,
     sigma_T_samples,
@@ -212,7 +213,9 @@ def _cell_bounds(dec: BlockDecomposition):
     returns ``(value, bound)``: ``value`` is NaN where the sampler flags the
     centre, ``bound`` is ``inf`` there and wherever the conditions below
     fail.  Norms are spectral norms, bounded by Frobenius norms where
-    marked ``_F``.
+    marked ``_F``.  Each chunk of :func:`_pencil_map` computes the whole
+    bound of its cells, so every stack, the ``2^m`` vertex matrices per cell
+    included, stays within its memory bound.
 
     The bound.  With ``M(theta) = -A22[0] - sum_i A22[i] e^{-j theta_i}``,
     ``G = M(c)^{-1}``, ``J_i = -j e^{-j c_i} C2 G A22[i] G B2``, ``delta =
@@ -261,69 +264,66 @@ def _cell_bounds(dec: BlockDecomposition):
     """
     n, m = dec.nu, dec.m
     B2, C2, A = dec.B2, dec.C2, np.concatenate(dec.A22[1:], axis=1)
-    shape = len(C2), B2.shape[1]
+    outs, ins = len(C2), B2.shape[1]
     a = np.array([_spectral_norm(Ai) for Ai in dec.A22])
     c2, b2 = _frobenius(C2[None])[0], _frobenius(B2[None])[0]
     u = _ROUNDING_SLACK * (n + m) * np.finfo(float).eps
     signs = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)  # (2^m, m) vertices
+    # columns of n entries per cell: the vertex stack, C2 G [A22[1] .. A22[m]], G B2, C2 G
+    rhs = -(-(2 ** m) * outs * ins // n) + m * outs + ins + outs
+    eye = np.eye(2).tobytes()
+    adjugate = _adjugate_map((2, 2), eye, (2, 2), eye)  # M -> adj(M), as the sampler's Cramer rule
 
-    def bounds(centres, r):
-        value, ok, T, P, norms = (np.concatenate(x) for x in zip(*_pencil_map(
-            lambda M: _centre_chunk(M, B2, C2, A), dec.pencil_basis, thetas=centres,
-            rhs=n + m * shape[0] * shape[1] + 2 * shape[1] + 1)))
-        r, K, V = 1.01 * r[ok], len(T), len(signs)
-        ginv, cg, gb = 1.01 * norms[:, :3].T
+    def chunk(M, c, r):
+        value, ok = _sigma_chunk(M, B2, C2)
+        bound = np.full(len(M), np.inf)
+        M, c, r = M[ok], c[ok], 1.01 * r[ok]
+        K = len(M)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if n == 2:
+                V = M.reshape(K, 4)
+                X = (V @ adjugate / (V[:, 0] * V[:, 3] - V[:, 1] * V[:, 2])[:, None]).reshape(K, 2, 2)
+            else:
+                X = np.linalg.inv(M)
+            XB = (X.reshape(-1, n) @ B2).reshape(K, n, ins)
+            CX = (C2 @ X.transpose(1, 0, 2).reshape(n, -1)).reshape(outs, K, n).transpose(1, 0, 2)
+            CX = CX.reshape(-1, n)
+            CXA = (CX @ A).reshape(K, outs * m, n)
+            P = (CXA @ XB).reshape(K, outs, m, ins).transpose(0, 2, 1, 3).reshape(K, m, outs * ins)
             D = np.empty(r.shape, dtype=complex)  # r_i J_i = D_i C2 G A22[i] G B2
-            D.real, D.imag = -r * np.sin(centres[ok]), -r * np.cos(centres[ok])
-            S = (D[:, :, None] * P).transpose(1, 0, 2).reshape(m, K * T.shape[1])
-            vertices = (signs @ S).reshape(V, K, T.shape[1]) + T
-            top = _singular_values(vertices.reshape(V * K, *shape))[:, 0].reshape(V, K).max(0)
+            D.real, D.imag = -r * np.sin(c), -r * np.cos(c)
+            S = (D[:, :, None] * P).transpose(1, 0, 2).reshape(m, K * outs * ins)
+            nv = len(signs)
+            vertices = (signs @ S).reshape(nv, K, outs * ins) + (CX @ B2).reshape(K, outs * ins)
+            top = _singular_values(vertices.reshape(nv * K, outs, ins))[:, 0].reshape(nv, K).max(0)
+            ginv = 1.01 * _frobenius(X)
+            cg = 1.01 * _frobenius(CX.reshape(K, outs, n))
+            gb = 1.01 * _frobenius(XB)
+            phase = 1.01 * _frobenius(P.reshape(K * m, outs, ins)).reshape(K, m)
             delta = r @ a[1:]
             q = delta * ginv
             G = ginv / (1.0 - q)
             kappa = a.sum() * G
-            cell = (top + 1.01 * (norms[:, 3:] * r * r).sum(1) / 2
+            cell = (top + (phase * r * r).sum(1) / 2
                     + cg * delta * delta * ginv * gb / (1.0 - q)
                     + 6.0 * u * kappa * c2 * G * b2 + _UNDERFLOW)
             cell[~((q <= 0.5) & (u * kappa <= 1e-3))] = np.inf
-        bound = np.full(len(value), np.inf)
         bound[ok] = cell
-        return value, bound
+        return value[:, 0], bound
+
+    def bounds(centres, r):
+        done = 0
+
+        def at(M):  # _pencil_map's chunks run in order over the centres
+            nonlocal done
+            sl = slice(done, done + len(M))
+            done = sl.stop
+            return chunk(M, centres[sl], r[sl])
+
+        parts = _pencil_map(at, dec.pencil_basis, thetas=centres, rhs=rhs)
+        return tuple(np.concatenate(x) for x in zip(*parts))
 
     return bounds
-
-
-def _centre_chunk(M, B, C, A):
-    """:func:`_cell_bounds` at the centres' pencils ``M``, with ``A = [A22[1] .. A22[m]]``.
-
-    Returns the sampler's ``sigma_1`` (NaN where flagged) and flags, and at
-    the passing centres, with ``G = M^{-1}`` (in closed form for ``n <= 2``),
-    ``T(c) = C G B`` and the ``C G A22[i] G B`` (each flattened), and the
-    Frobenius norms of ``G``, ``C G``, ``G B`` and of each ``C G A22[i] G B``.
-    """
-    sig, ok = _sigma_chunk(M, B, C)
-    M = M[ok]
-    K, n, _ = M.shape
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if n > 2:
-            X = np.linalg.inv(M)
-        elif n == 1:
-            X = 1.0 / M
-        else:
-            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-            X = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]], axis=1)
-            X = (X / det[:, None]).reshape(K, 2, 2)
-        p, q, m = len(C), B.shape[1], A.shape[1] // max(n, 1)
-        XB = (X.reshape(-1, n) @ B).reshape(K, n, q)
-        CX = (C @ X.transpose(1, 0, 2).reshape(n, -1)).reshape(p, K, n).transpose(1, 0, 2)
-        CX = CX.reshape(-1, n)
-        CXA = (CX @ A).reshape(K, p, m, n)
-        P = sum(CXA[..., j, None] * XB[:, None, None, j] for j in range(n))  # (K, p, m, q)
-        P = P.transpose(0, 2, 1, 3).reshape(K, m, p * q)
-        norms = np.column_stack([_frobenius(X), _frobenius(CX.reshape(K, p, n)), _frobenius(XB),
-                                 _frobenius(P.reshape(K * m, p, q)).reshape(K, m)])
-    return sig[:, 0], ok, (CX @ B).reshape(K, p * q), P, norms
 
 
 def _frobenius(X) -> np.ndarray:
