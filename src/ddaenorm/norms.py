@@ -34,6 +34,7 @@ from .response import (
     _adjugate_map,
     _sigma_chunk,
     _singular_values,
+    _transfer,
     sigma_T_samples,
     sigma_Ta_samples,
     sigma_Ta_torus_samples,
@@ -275,7 +276,7 @@ def _cell_bounds(dec: BlockDecomposition):
     adjugate = _adjugate_map((2, 2), eye, (2, 2), eye)  # M -> adj(M), as the sampler's Cramer rule
 
     def chunk(M, c, r):
-        value, ok = _sigma_chunk(M, B2, C2)
+        value, ok = _sigma_chunk(*_transfer(M, B2, C2))
         bound = np.full(len(M), np.inf)
         M, c, r = M[ok], c[ok], 1.01 * r[ok]
         K = len(M)
@@ -755,7 +756,10 @@ def hinf_norm_T(
     the diagnostics.  ``T_a``'s part of the tail is bounded by its supremum
     over one period (``diagnostics["ta_tail_sup"]``, see :func:`_tail_sup_Ta`)
     or, when that is ``None``, by its strong norm.
-    ``diagnostics["iterations"]`` counts the ascent's sampler calls.
+    ``diagnostics["iterations"]`` counts the ascent's sampler calls,
+    ``diagnostics["kernel"]`` names the evaluator of ``T`` and
+    ``diagnostics["delay_rank"]`` the rank of its delay channels (see
+    :attr:`DdaeSystem.delay_channels`).
 
     Peaks whose values agree within ``bisect_tol`` (relative) are ties and the
     smallest frequency wins, so weakly separated recurring peaks yield the
@@ -851,6 +855,8 @@ def hinf_norm_T(
         "tail_gap": tail_gap,
         "scan_truncated": truncated,
         "global_peak": xi,
+        "kernel": sys.delay_channels.kernel,
+        "delay_rank": sys.delay_channels.rank,
     }
     return NormResult(
         value=v_sel,

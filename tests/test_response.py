@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddaenorm import (
@@ -280,15 +282,16 @@ class TestPencilKernel:
             for row, point in zip(batched, points):
                 one, ok1 = sample(np.asarray(point)[None])
                 assert ok1[0]
-                np.testing.assert_allclose(one[0], row, rtol=1e-14, atol=0.0)
+                np.testing.assert_array_equal(one[0], row)
 
     @pytest.mark.parametrize("make", [
         make_sys_a,
         lambda: dense_stable_system(1, 10),        # 2 inputs, 2 outputs
         lambda: dense_stable_system(1, 10, nu=8),  # the nu = 8 torus system
-    ], ids=["SYS-A", "n10", "nu8"])
+        lambda: dense_stable_system(1, 40),        # the low-rank kernel of T
+    ], ids=["SYS-A", "n10", "nu8", "n40"])
     def test_one_point_is_bit_identical_to_batched(self, make):
-        from ddaenorm.response import _transfer, sigma_T_samples, sigma_Ta_torus_samples
+        from ddaenorm.response import _T_map, _transfer, sigma_T_samples, sigma_Ta_torus_samples
         from ddaenorm.system_model import _pencil_map
         sys = make()
         dec = decompose(sys)
@@ -296,16 +299,16 @@ class TestPencilKernel:
         omegas = rng.uniform(0.0, 50.0, 200)
         thetas = rng.uniform(0.0, 2.0 * np.pi, (200, dec.m))
 
-        def transfers(S, B, C, **samples):
-            parts = _pencil_map(lambda M: _transfer(M, B, C), S, **samples)
+        def transfers(parts):
             assert all(ok.all() for _, ok, _ in parts)
             return np.concatenate([T for T, _, _ in parts])
 
         cases = [
             (lambda x: sigma_T_samples(sys, x), lambda x: eval_T(sys, x), omegas,
-             transfers(sys.pencil_basis, sys.B, sys.C, omegas=omegas, tau=sys.tau)),
+             transfers(_T_map(lambda *t: t, sys, omegas, sys.tau))),
             (lambda x: sigma_Ta_torus_samples(dec, x), lambda x: eval_Ta_torus(dec, x), thetas,
-             transfers(dec.pencil_basis, dec.B2, dec.C2, thetas=thetas)),
+             transfers(_pencil_map(lambda M: _transfer(M, dec.B2, dec.C2), dec.pencil_basis,
+                                   thetas=thetas))),
         ]
         for sample, evaluate, points, T in cases:
             batched, ok = sample(points)
@@ -371,11 +374,14 @@ class TestPencilKernel:
         sys = random_system(rng, n=4)
         dec = decompose(sys)
         omegas = np.linspace(0.0, 20.0, 23)
+        low_rank = dense_stable_system(1, 40)
+        assert low_rank.delay_channels.kernel == "low-rank"
 
         def evaluate():
             return [
                 *response.sigma_T_samples(sys, omegas),
                 *response.sigma_T_samples(oscillator(), np.linspace(0.0, 2.0, 9)),
+                *response.sigma_T_samples(low_rank, omegas),
                 *response.sigma_Ta_samples(dec, omegas, sys.tau),
                 *response.sigma_Ta_torus_samples(dec, np.outer(omegas, sys.tau)),
                 imaginary_axis_margin(sys, 20.0, count=23),
@@ -386,7 +392,7 @@ class TestPencilKernel:
 
         whole = evaluate()
         assert not whole[3].all()  # the oscillator grid hits its root
-        # three samples of a 2x2 pencil per chunk, one of a 4x4 pencil
+        # three samples of a 2x2 pencil per chunk, one of a 4x4 or 40x40 one
         monkeypatch.setattr(system_model, "_STACK_BYTES", 3 * 16 * 4)
         for a, b in zip(whole, evaluate(), strict=True):
             np.testing.assert_array_equal(a, b)
@@ -712,3 +718,169 @@ class TestSvdFreeHotPath:
         sig, ok = sigma_T_samples(sys, np.linspace(0.0, 50.0, 1000))
         assert ok.all() and sig.shape == (1000, 2)
         assert calls == [4]
+
+    def test_low_rank_scan_solves_no_pencil_stack(self, monkeypatch):
+        # the n = 40 scan and its polish solve only r x r capacitance stacks
+        sys = dense_stable_system(1, 40)
+        calls = []
+        real = np.linalg.solve
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[-2:] == (sys.n, sys.n):
+                calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        result = hinf_norm_T(sys)
+        assert result.diagnostics["kernel"] == "low-rank"
+        assert result.diagnostics["scan_points"] > 1000
+        assert calls == []
+
+
+def low_rank_system(seed, n, r, m=2, p=2):
+    """Random stable system with ``n`` states, ``r`` delay channels and an ``E``
+    of rank ``n - k``, ``k`` up to ``n / 2``."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, n // 2 + 1))
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    E = Q1 @ np.diag(np.r_[rng.uniform(0.5, 2.0, n - k), np.zeros(k)]) @ Q2
+    X = rng.standard_normal((n, n)) / np.sqrt(n)
+    A0 = X - (np.linalg.norm(X, 2) + rng.uniform(0.1, 1.0)) * np.eye(n)
+    U, V = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    A = [A0] + [U @ rng.standard_normal((r, r)) @ V.T / np.sqrt(n) for _ in range(m)]
+    return DdaeSystem(E=E, A=tuple(A), B=rng.standard_normal((n, p)),
+                      C=rng.standard_normal((p, n)), tau=rng.uniform(0.3, 3.0, m))
+
+
+def with_A0(sys, A0):
+    return DdaeSystem(E=sys.E, A=(A0, *sys.A[1:]), B=sys.B, C=sys.C, tau=sys.tau)
+
+
+def with_root(sys, w0):
+    """``sys`` with ``A_0`` moved by a real matrix of rank <= 2 so that ``M(j w0)`` is singular."""
+    M = 1j * w0 * sys.E - sys.A[0] - sum(
+        Ai * np.exp(-1j * w0 * t) for Ai, t in zip(sys.A[1:], sys.tau))
+    Uu, s, Vh = np.linalg.svd(M)
+    u, v = Uu[:, -1], Vh[-1].conj()  # M v = s u: a real D with D v = s u closes it
+    if w0 == 0.0:
+        delta = s[-1] * np.outer(u.real, v.real) / (v.real @ v.real)
+    else:
+        delta = s[-1] * np.stack([u.real, u.imag], 1) @ np.linalg.pinv(
+            np.stack([v.real, v.imag], 1))
+    return with_A0(sys, sys.A[0] + delta)
+
+
+def dense_kernel(sys, omegas):
+    from ddaenorm.response import _sample
+    return _sample(sys.pencil_basis, sys.B, sys.C, omegas=np.asarray(omegas), tau=sys.tau)
+
+
+def dense_kernel_transfer(sys, omegas):
+    from ddaenorm.response import _transfer
+    return _transfer(pencil_stacks(sys.A, sys.E, omegas=np.asarray(omegas), tau=sys.tau),
+                     sys.B, sys.C)[0]
+
+
+def assert_sigmas_close(sig, want, rtol):
+    """Every singular value within ``rtol`` of its row's ``sigma_1``."""
+    rel = np.abs(sig - want) / want[:, :1]
+    assert (rel <= rtol).all(), rel.max()
+
+
+class TestLowRankKernel:
+    """``T`` through its delay channels against the dense kernel."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 40), r=st.integers(1, 3))
+    def test_matches_dense_kernel(self, seed, n, r):
+        from ddaenorm.response import sigma_T_samples
+        sys = low_rank_system(seed, n, r)
+        assume(sys.delay_channels.kernel == "low-rank")
+        assert sys.delay_channels.rank == r
+        omegas = np.linspace(0.0, 30.0, 61)
+        sig, ok = sigma_T_samples(sys, omegas)
+        want, ok_want = dense_kernel(sys, omegas)
+        assert ok.all() and ok_want.all()
+        assert_sigmas_close(sig, want, 1e-12)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 40), r=st.integers(1, 3),
+           on_zero=st.booleans())
+    def test_flags_are_one_sided_near_roots(self, seed, n, r, on_zero):
+        # a characteristic root at j w0: samples within 1e-15 of it and around it
+        from ddaenorm.response import sigma_T_samples
+        w0 = 0.0 if on_zero else float(np.random.default_rng(seed).uniform(0.1, 10.0))
+        sys = with_root(low_rank_system(seed, n, r), w0)
+        assume(sys.delay_channels.kernel == "low-rank")
+        omegas = np.r_[w0, w0 + 1e-15, w0 + 1e-12, w0 + 1e-9, w0 + 1e-6,
+                       np.linspace(0.0, 10.0, 21)]
+        sig, ok = sigma_T_samples(sys, omegas)
+        exact, ratio = svd_ok(pencil_stacks(sys.A, sys.E, omegas=omegas, tau=sys.tau))
+        assert not (exact & ~ok).any()  # never flags a sample the SVD test passes
+        np.testing.assert_array_equal(ok, dense_kernel(sys, omegas)[1])
+        assert not ok[0]  # the root itself
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 40), r=st.integers(1, 3))
+    def test_integrator_closed_by_delayed_feedback(self, seed, n, r):
+        # A_0 v = 0: P(0) = -A_0 is singular, M(0) = -A_0 - sum A_i is not
+        from ddaenorm.response import sigma_T_samples
+        sys = low_rank_system(seed, n, r)
+        v = np.random.default_rng(seed).standard_normal(n)
+        v /= np.linalg.norm(v)
+        sys = with_A0(sys, sys.A[0] - np.outer(sys.A[0] @ v, v))
+        assume(sys.delay_channels.kernel == "low-rank")
+        assert np.linalg.svd(sys.A[0], compute_uv=False)[-1] < 1e-14 * np.linalg.norm(sys.A[0])
+        omegas = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0])
+        sig, ok = sigma_T_samples(sys, omegas)
+        want, ok_want = dense_kernel(sys, omegas)
+        assert ok.all() and ok_want.all()
+        assert_sigmas_close(sig, want, 1e-12)
+
+    def test_exactly_singular_capacitance_takes_the_dense_kernel(self, monkeypatch):
+        # numpy rejects a stack with an exactly singular matrix as a whole: the
+        # sample whose capacitance determinant is 0 goes to the dense kernel
+        from ddaenorm.response import _T_map
+        sys = dense_stable_system(1, 40)
+        omegas = np.linspace(0.0, 5.0, 7)
+        want = np.concatenate([T for T, _, _ in _T_map(lambda *t: t, sys, omegas, sys.tau)])
+        solve, det = np.linalg.solve, np.linalg.det
+        rejected = []
+
+        def rejecting(a, *args, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[-1] == 2 and not rejected:
+                rejected.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", rejecting)
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.where(np.arange(len(a)) == 3, 0.0,
+                                                                 det(a)))
+        [(T, ok, rcond)] = _T_map(lambda *t: t, sys, omegas, sys.tau)
+        assert rejected == [7] and ok.all() and rcond is None
+        np.testing.assert_array_equal(np.delete(T, 3, 0), np.delete(want, 3, 0))
+        np.testing.assert_array_equal(T[3], dense_kernel_transfer(sys, omegas[3:4])[0])
+
+    @pytest.mark.parametrize("make, kernel, rank", [
+        (make_sys_a, "closed-form", 1),
+        (lambda: dense_stable_system(1, 40), "low-rank", 2),
+        (lambda: random_system(np.random.default_rng(134), n=10), "dense", 10),
+        (lambda: dense_stable_system(1, 10, nu=3), "dense", 3),  # 4 r > n
+    ], ids=["SYS-A", "n40", "full-rank", "n10-r3"])
+    def test_diagnostics_name_the_kernel(self, make, kernel, rank):
+        sys = make()
+        result = hinf_norm_T(sys)
+        assert result.diagnostics["kernel"] == kernel
+        assert result.diagnostics["delay_rank"] == rank
+
+    def test_memory_stays_within_the_chunk_bound(self):
+        from ddaenorm import system_model
+        from ddaenorm.response import sigma_T_samples
+        sys = dense_stable_system(1, 100)
+        omegas = np.linspace(0.0, 300.0, 100_000)
+        tracemalloc.start()
+        try:
+            sig, ok = sigma_T_samples(sys, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.delay_channels.kernel == "low-rank" and ok.all()
+        assert peak < 4 * system_model._STACK_BYTES
