@@ -160,9 +160,13 @@ def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
     this level and the ones before.  ``t`` is a value the sweep computes, so
     every skipped row computes below the sweep's maximum.  A cell whose centre
     is flagged singular is never skipped, and no row of a skipped cell can be
-    flagged, so the first flagged row of the sweep is the whole grid's.  An
-    exactly singular centre that the sampler passed (numpy's ``inv`` rejects
-    it) returns the whole half grid.
+    flagged, so the first flagged row of the sweep is the whole grid's.  When
+    every cell of the first level has ``q > 1`` (see :func:`_cell_bounds`),
+    the second is skipped: its cells, half as wide, would have ``q`` near
+    half of that, above the bound's limit of 1/2, so they would cost their
+    bounds and keep every row (as on peaked grids, gamma_a near 1).  Skipping
+    a level only sweeps more rows.  An exactly singular centre that the
+    sampler passed (numpy's ``inv`` rejects it) returns the whole half grid.
     """
     m = dec.m
     theta = 2.0 * np.pi * np.arange(g) / g
@@ -180,12 +184,14 @@ def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
         cells = np.argwhere(held)
         index = (lo + size // 2)[cells]
         try:
-            value, bound = bounds(theta[index], (2.0 * np.pi / g) * (size // 2)[cells])
+            value, bound, q = bounds(theta[index], (2.0 * np.pi / g) * (size // 2)[cells])
         except np.linalg.LinAlgError:
             return _torus_grid(m, g)
         t = np.fmax.reduce(value[half[tuple(index.T)]], initial=t)  # skips NaN (flagged)
         kept = held
         kept[tuple(cells[bound < t].T)] = False
+        if not (q <= 1.0).any():  # half as wide, no cell would pass q <= 1/2
+            break
     for axis in range(m):
         kept = np.repeat(kept, size, axis=axis)
     rows = np.flatnonzero(half & kept)  # flat C-order indices, as the half grid runs
@@ -211,12 +217,13 @@ def _cell_bounds(dec: BlockDecomposition):
 
     The map takes ``centres`` and half-widths ``r``, both (K, m): a cell holds
     the points within ``r[k, i]`` of ``centres[k, i]`` in each dimension.  It
-    returns ``(value, bound)``: ``value`` is NaN where the sampler flags the
-    centre, ``bound`` is ``inf`` there and wherever the conditions below
-    fail.  Norms are spectral norms, bounded by Frobenius norms where
-    marked ``_F``.  Each chunk of :func:`_pencil_map` computes the whole
-    bound of its cells, so every stack, the ``2^m`` vertex matrices per cell
-    included, stays within its memory bound.
+    returns ``(value, bound, q)``: ``value`` is NaN where the sampler flags
+    the centre, ``bound`` is ``inf`` there and wherever the conditions below
+    fail, and ``q`` (below) is ``inf`` where the centre is flagged.  Norms are
+    spectral norms, bounded by Frobenius norms where marked ``_F``.  Each
+    chunk of :func:`_pencil_map` computes the whole bound of its cells, so
+    every stack, the ``2^m`` vertex matrices per cell included, stays within
+    its memory bound.
 
     The bound.  With ``M(theta) = -A22[0] - sum_i A22[i] e^{-j theta_i}``,
     ``G = M(c)^{-1}``, ``J_i = -j e^{-j c_i} C2 G A22[i] G B2``, ``delta =
@@ -247,8 +254,10 @@ def _cell_bounds(dec: BlockDecomposition):
 
     * A computed row's ``sigma_1`` against the exact one (``s``): it is the
       exact one of a pencil perturbed by the assembly (``(2 m + 2) eps`` times
-      the entries' sums) and by the solve's backward error, plus the roundoff
-      of ``C2 X`` and of the singular values.
+      the entries' sums: each entry is a sum of at most ``2 m + 2`` products,
+      which that bounds in any order of summation, so also in the 2-D product
+      of ``n <= 2`` pencils) and by the solve's backward error, plus the
+      roundoff of ``C2 X`` and of the singular values.
     * ``T(c)`` from ``X`` (``s``).
     * The ``J_i`` from ``X``, each off by ``2.001 u kappa ||A22[i]||
       ||G||^2 ||C2|| ||B2||``: ``2.001 q s <= 1.001 s`` over the vertex model,
@@ -277,7 +286,7 @@ def _cell_bounds(dec: BlockDecomposition):
 
     def chunk(M, c, r):
         value, ok = _sigma_chunk(*_transfer(M, B2, C2))
-        bound = np.full(len(M), np.inf)
+        bound, q_all = np.full(len(M), np.inf), np.full(len(M), np.inf)
         M, c, r = M[ok], c[ok], 1.01 * r[ok]
         K = len(M)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -309,8 +318,8 @@ def _cell_bounds(dec: BlockDecomposition):
                     + cg * delta * delta * ginv * gb / (1.0 - q)
                     + 6.0 * u * kappa * c2 * G * b2 + _UNDERFLOW)
             cell[~((q <= 0.5) & (u * kappa <= 1e-3))] = np.inf
-        bound[ok] = cell
-        return value[:, 0], bound
+        bound[ok], q_all[ok] = cell, q
+        return value[:, 0], bound, q_all
 
     def bounds(centres, r):
         done = 0
@@ -630,19 +639,21 @@ def frequency_bound(dec: BlockDecomposition, tau, gamma: float) -> float:
 
 
 def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_points: int):
-    """The denominator ``s``, the period of ``sigma_1(T_a(jw))`` and its supremum.
+    """``s``, the period of ``sigma_1(T_a(jw))``, its supremum and the sweep's size.
 
-    ``s`` is the smallest integer up to ``COMMENSURATE_S_CAP`` with every
+    The denominator ``s`` is the smallest integer up to ``COMMENSURATE_S_CAP`` with every
     ``tau_i`` within tolerance of some ``n_i / s``, or ``None``.  The curve
     then has period ``2*pi*s`` (``2*pi / tau_1`` for one delay, whatever
     ``s``), and the supremum is the polished maximum over one period.  It is
     ``None``, and no sample is taken, without a period or when one period
     needs more than ``max_points`` samples: the strong norm of T_a bounds it.
+    The sweep's size counts its samples, not those of the polish (one sample
+    without delays, none when nothing is sampled).
     """
     if dec.nu == 0:
-        return None, None, 0.0
+        return None, None, 0.0, 0
     if dec.m == 0:
-        return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0])
+        return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0]), 1
     prods = tau[:, None] * np.arange(1, COMMENSURATE_S_CAP + 1)
     near = np.abs(prods - np.round(prods)) <= COMMENSURATE_REL_TOL * np.maximum(1.0, prods)
     hits = np.nonzero(near.all(axis=0))[0]
@@ -652,10 +663,10 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     elif s is not None:
         period = 2.0 * math.pi * s
     else:
-        return s, None, None
+        return s, None, None, 0
     npts = max(int(period / step) + 1, 512)
     if npts > max_points:
-        return s, period, None
+        return s, period, None, 0
     omegas = np.linspace(0.0, period, npts, endpoint=False)
     sig, ok = sigma_Ta_samples(dec, omegas, tau)
     if not ok.all():
@@ -666,7 +677,7 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     i = int(np.argmax(sig[:, 0]))
     [_], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
                                     sig[i:i + 1, 0], omegas[1])
-    return s, period, float(v)
+    return s, period, float(v), npts
 
 
 def _frequency_ascent(sample, system, tau, omegas, values, h):
@@ -755,7 +766,9 @@ def hinf_norm_T(
     still out of reach there, the remaining tail uncertainty is reported in
     the diagnostics.  ``T_a``'s part of the tail is bounded by its supremum
     over one period (``diagnostics["ta_tail_sup"]``, see :func:`_tail_sup_Ta`)
-    or, when that is ``None``, by its strong norm.
+    or, when that is ``None``, by its strong norm;
+    ``diagnostics["ta_tail_points"]`` counts the samples of that period's
+    sweep, beside the scan's ``diagnostics["scan_points"]``.
     ``diagnostics["iterations"]`` counts the ascent's sampler calls,
     ``diagnostics["kernel"]`` names the evaluator of ``T`` and
     ``diagnostics["delay_rank"]`` the rank of its delay channels (see
@@ -793,7 +806,7 @@ def hinf_norm_T(
     omega_low = 10.0 * (1.0 + params.scale)
     step = lobe / SCAN_DENSITY if lobe else omega_low / 10000.0
 
-    s, period, ta_sup = _tail_sup_Ta(dec, tau, step, MAX_SCAN_POINTS // 2)
+    s, period, ta_sup, ta_points = _tail_sup_Ta(dec, tau, step, MAX_SCAN_POINTS // 2)
     # Rigorous tail cap: beyond it the response cannot rise above the level
     # of a grid maximum unless the asymptotic branch already dominates.
     tail_ub = ta.value if ta_sup is None else ta_sup * (1.0 + 1e-6)
@@ -850,6 +863,7 @@ def hinf_norm_T(
         "gamma_a": gamma_a,
         "strong_ta": ta.value,
         "ta_tail_sup": ta_sup,
+        "ta_tail_points": ta_points,
         "commensurate_s": s,
         "tail_certified": tail_certified,
         "tail_gap": tail_gap,

@@ -15,13 +15,17 @@ algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
 samples and samples with a non-finite entry, the ``eval_*`` functions raise.
 Grids are evaluated in chunks whose pencil stack fits ``_STACK_BYTES``, so
 memory stays bounded for any grid length and system size.  Each chunk is one
-stacked product: the real rows ``[1, cos theta_i, w, sin theta_i]`` times a
-real map of the coefficients, written straight into the float64 view of the
-complex stack, with no stack-sized temporary.  The map is built once per system, on first use
+product: a real ``(K, N)`` block of coefficients ``[1, cos theta_i, w, sin
+theta_i]``, one contiguous row each, times a real map of the coefficients,
+written straight into the float64 view of the complex stack, with no
+stack-sized temporary.  The map is built once per system, on first use
 (``DdaeSystem.pencil_basis`` for ``T``, ``BlockDecomposition.pencil_basis``
-for ``T_a`` and the torus).  The product is the same small one for every
-sample, whether it is evaluated alone, in a search step or in any chunk, so
-the pencils do not depend on where the chunks split.
+for ``T_a`` and the torus).  For ``n <= 2`` the product is one 2-D GEMM per
+chunk (a lone sample padded to two rows), where a stacked product would make
+one BLAS call per sample: 6-18 ns against 46-82 ns a sample.  Larger pencils
+keep the stacked product.  Either way a sample gets the same bits whether it
+is evaluated alone, in a search step or in any chunk, so the pencils do not
+depend on where the chunks split.
 
 No sample needs an SVD of the pencil.  Pencils with ``n <= 2`` (the paper's
 examples and their algebraic blocks) need no LAPACK call either: Cramer's
@@ -307,7 +311,6 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     ch, B, C = sys.delay_channels, sys.B, sys.C
     N, n, r, p = len(omegas), sys.n, ch.rank, B.shape[1]
     q = C.shape[0]
-    theta = omegas[:, None] * tau
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # to the dense kernel
         d = 1.0 / (1.0 + (1j * omegas[:, None] - ch.s0) * ch.lam)
         dense = ~(np.abs(d).max(axis=1, initial=0.0) * ch.gain <= _GAIN_MAX)
@@ -315,7 +318,7 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     low = np.flatnonzero(~dense)
     if low.size:
         G = (ch.L * d[low, None, :]) @ ch.R  # [C; V^T] P^{-1} [B, r, U]
-        D = _pencil_stack(ch.D, r, theta[low])
+        D = _pencil_stack(ch.D, r, omegas[low], tau)
         cap = np.eye(r) - G[:, q:, p + 1:] @ D
         try:
             Y = np.linalg.solve(cap, G[:, q:, :p + 1])  # V^T M^{-1} [B, r]
@@ -336,14 +339,14 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     if not dense.any():
         return T, np.ones(N, dtype=bool), None
     where = np.flatnonzero(dense)
-    Td, ok_d, rcond_d = _transfer(_pencil_stack(sys.pencil_basis, n, theta[where],
-                                                omegas[where]), B, C)
-    T[where[ok_d]] = Td
-    if rcond_d is None:
-        return T, np.ones(N, dtype=bool), None
     ok, rcond = np.ones(N, dtype=bool), np.ones(N)
-    ok[where], rcond[where] = ok_d, rcond_d
-    return T[ok], ok, rcond
+    for T_d, ok_d, rcond_d in _transfer_map(lambda *t: t, sys.pencil_basis, B, C, p + 1,
+                                            omegas=omegas[where], tau=tau):
+        at, where = where[:len(ok_d)], where[len(ok_d):]
+        T[at[ok_d]], ok[at] = T_d, ok_d
+        if rcond_d is not None:
+            rcond[at] = rcond_d
+    return (T, ok, None) if ok.all() else (T[ok], ok, rcond)
 
 
 def _transfer_map(fn, S, B, C, rhs=0, **samples) -> list:
@@ -354,12 +357,17 @@ def _transfer_map(fn, S, B, C, rhs=0, **samples) -> list:
 def _T_map(fn, sys: DdaeSystem, omegas, tau, rhs=0) -> list:
     """:func:`_transfer_map` for ``T`` at ``omegas``, by the kernel ``sys.delay_channels`` names.
 
-    The low-rank kernel takes the same chunks as the dense one.
+    The low-rank kernel's chunks are sized by its own per-sample stacks, the
+    ``(p_out + r) x n`` factors ``L diag(d)`` and the ``n`` entries of ``d``,
+    with the projections; its dense hand-off takes the chunks of
+    :func:`_pencil_map`.
     """
-    if sys.delay_channels.kernel != "low-rank":
+    ch = sys.delay_channels
+    if ch.kernel != "low-rank":
         return _transfer_map(fn, sys.pencil_basis, sys.B, sys.C, rhs, omegas=omegas, tau=tau)
-    return [fn(*_low_rank_transfer(sys, omegas[sl], tau))
-            for sl in _chunks(len(omegas), sys.n, rhs)]
+    rows = sys.p_out + ch.rank
+    entries = (rows + 1) * sys.n + rows * (sys.p_in + ch.rank + 1)
+    return [fn(*_low_rank_transfer(sys, omegas[sl], tau)) for sl in _chunks(len(omegas), entries)]
 
 
 def _sigma_2x2(T) -> np.ndarray:

@@ -533,6 +533,9 @@ class TestPlainNormEvaluations:
         diag = hinf_norm_T(make_sys_a(tau)).diagnostics
         assert (sum(seen), len(seen)) == (points, calls)
         assert (diag["ta_tail_sup"] is None) == (calls == 0)
+        # the one-period sweep comes first, then the polish's stencils
+        assert diag["ta_tail_points"] == (seen[0] if seen else 0)
+        assert all(k <= 3 for k in seen[1:])
         assert "ta_tail_exact" not in diag
 
     @pytest.mark.parametrize("make, lobes", _SHORT_SCANS)
@@ -606,6 +609,20 @@ class TestTorusEvaluations:
         res = strong_norm_Ta(decompose(dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0))))
         assert levels == [293, 2_185]
         assert seen[0] == res.diagnostics["grid_points"] == 48_834
+
+    @pytest.mark.parametrize("nu, p, seed, m, cells, rows", [
+        (3, 1, 11, 1, [26], 201),
+        (4, 3, 17, 3, [293], 131_076),
+        (4, 3, 11, 3, [293, 2_185], 62_488),  # q <= 1 at the first level: the second closes cells
+    ])
+    def test_second_level_skipped_where_no_cell_can_close(self, monkeypatch, nu, p, seed, m,
+                                                          cells, rows):
+        # gamma_a 0.999: no cell of the first level has a bound, and where every one
+        # has q > 1 the second level is skipped; the half grid has 201 or 131,076 rows
+        levels, _ = self._count(monkeypatch)
+        dec = decompose(_algebraic_system("near-one", nu, p, seed, m))
+        assert len(norms._sweep_rows(dec, min(400, 2 ** (18 // m)))) == rows
+        assert levels == cells
 
     @pytest.mark.parametrize("make, most", [
         (make_sys_a, 20),
@@ -723,7 +740,7 @@ class TestCellBound:
         # at most 0.99 / 2 for q = 1.01^2 (r @ a) ||G||_F, and at most 1.2 in the long direction
         most = 0.99 * 0.5 / (1.01 ** 2 * G * (w @ a))
         r = w * np.minimum(most, rng.uniform(0.1, 1.2, 16))[:, None]
-        value, bound = norms._cell_bounds(dec)(c, r)
+        value, bound, _ = norms._cell_bounds(dec)(c, r)
         assert np.isfinite(bound).all()
         signs = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
         points = np.concatenate([c[:, None] + r[:, None] * signs,
@@ -738,7 +755,7 @@ class TestCellBound:
         dec = decompose(_algebraic_system("random", 4, 3, 17, 3))
         c = _torus_grid(3, 16)[:500]
         r = np.full_like(c, 0.05)
-        value, bound = norms._cell_bounds(dec)(c, r)
+        value, bound, _ = norms._cell_bounds(dec)(c, r)
         assert np.isfinite(bound).sum() > 400
         monkeypatch.setattr(system_model, "_STACK_BYTES", 20_000)  # chunks of 7 cells
         chunked = norms._cell_bounds(dec)(c, r)

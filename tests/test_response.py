@@ -289,7 +289,10 @@ class TestPencilKernel:
         lambda: dense_stable_system(1, 10),        # 2 inputs, 2 outputs
         lambda: dense_stable_system(1, 10, nu=8),  # the nu = 8 torus system
         lambda: dense_stable_system(1, 40),        # the low-rank kernel of T
-    ], ids=["SYS-A", "n10", "nu8", "n40"])
+        # 2x2 pencils of T and of the torus with non-integer coefficients, where
+        # SYS-A's small integers would hide the rounding of the product
+        lambda: random_system(np.random.default_rng(28), n=2),
+    ], ids=["SYS-A", "n10", "nu8", "n40", "n2"])
     def test_one_point_is_bit_identical_to_batched(self, make):
         from ddaenorm.response import _T_map, _transfer, sigma_T_samples, sigma_Ta_torus_samples
         from ddaenorm.system_model import _pencil_map
@@ -479,11 +482,13 @@ class TestPencilAssembly:
             err = np.abs(got - want).max(axis=(1, 2))
             assert (err <= 1e-15 * np.abs(want).max(axis=(1, 2))).all()
 
-    @pytest.mark.parametrize("m", [0, 3])
-    def test_one_sample_chunks_match_one_whole_chunk(self, m, monkeypatch):
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_one_sample_chunks_match_one_whole_chunk(self, n, m, monkeypatch):
+        # n <= 2: one 2-D product per chunk, a lone sample padded to two rows
         from ddaenorm import system_model
-        rng = np.random.default_rng(31 + m)
-        A, cases = assembly_cases(rng, 40, m, 37)
+        rng = np.random.default_rng(31 + m + 10 * n)
+        A, cases = assembly_cases(rng, n, m, 37)
         whole = [pencil_stacks(A, **samples) for samples, _ in cases]
         monkeypatch.setattr(system_model, "_STACK_BYTES", 1)
         for (samples, _), stack in zip(cases, whole, strict=True):
@@ -736,6 +741,27 @@ class TestSvdFreeHotPath:
         assert calls == []
 
 
+class TestOneProductPerChunk:
+    """Each chunk of pencils is one ``np.matmul``: a 2-D one for ``n <= 2``."""
+
+    @pytest.mark.parametrize("count", [1, 2, 29])
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matmul_calls(self, n, m, count, monkeypatch):
+        A, cases = assembly_cases(np.random.default_rng(135), n, m, count)
+        calls = []
+        real = np.matmul
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np, "matmul", counted)
+        for samples, _ in cases:
+            calls.clear()
+            pencil_stacks(A, **samples)
+            assert calls == [2 if n <= 2 else 3]
+
+
 def low_rank_system(seed, n, r, m=2, p=2):
     """Random stable system with ``n`` states, ``r`` delay channels and an ``E``
     of rank ``n - k``, ``k`` up to ``n / 2``."""
@@ -870,6 +896,34 @@ class TestLowRankKernel:
         result = hinf_norm_T(sys)
         assert result.diagnostics["kernel"] == kernel
         assert result.diagnostics["delay_rank"] == rank
+
+    def test_chunks_sized_by_the_low_rank_stacks(self, monkeypatch):
+        # one low-rank chunk of 1,000 samples (2,383 fit: 220 entries per sample at
+        # n = 40, r = 2), and with every sample handed to the dense kernel its
+        # stacks keep the dense chunks of 304 samples (40 x 43 entries per sample)
+        from ddaenorm import response
+        sys = dense_stable_system(1, 40)
+        omegas = np.linspace(0.0, 5.0, 1000)
+        want = dense_kernel(sys, omegas)
+        monkeypatch.setattr(response, "_GAIN_MAX", 0.0)
+        chunks, stacks = [], []
+        low_rank, solve = response._low_rank_transfer, np.linalg.solve
+
+        def chunk(system, w, tau):
+            chunks.append(len(w))
+            return low_rank(system, w, tau)
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[-1] == sys.n:
+                stacks.append(len(a))
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(response, "_low_rank_transfer", chunk)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        sig, ok = response.sigma_T_samples(sys, omegas)
+        assert chunks == [1000]
+        assert stacks == [304, 304, 304, 88]
+        np.testing.assert_array_equal(sig, want[0])
+        np.testing.assert_array_equal(ok, want[1])
 
     def test_memory_stays_within_the_chunk_bound(self):
         from ddaenorm import system_model
