@@ -17,7 +17,6 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import DimensionError
@@ -50,6 +49,7 @@ class SchemaError(DimensionError):
 @lru_cache(maxsize=None)
 def _validator(name: str):
     """Validator of the packaged schema ``name``, checked against its metaschema once."""
+    import jsonschema  # only file validation needs it, so not at package import
     with resources.files("ddaenorm.schemas").joinpath(name).open("r") as fh:
         schema = json.load(fh)
     cls = jsonschema.validators.validator_for(schema)
@@ -71,6 +71,7 @@ def _validate(doc, schema_name: str):
     validator = _validator(schema_name)
     if validator.is_valid(_skeleton(doc)):
         return
+    import jsonschema
     exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"

@@ -364,15 +364,17 @@ class BlockDecomposition:
 
     @cached_property
     def gamma_a(self) -> float:
-        """gamma_a on the default grid (:func:`check_difference_stability`);
-        raises :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0,
-        and :class:`DimensionError` for m >= 9 (see :func:`_torus_grid`)."""
+        """gamma_a on the default grid's slice ``theta_1 = 0`` (exactly ``max
+        |eigvals(F_1)|`` for m = 1, see :func:`check_difference_stability`); raises
+        :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0, and
+        :class:`DimensionError` when the whole grid is over 2**24 points (m >= 9)."""
         return _difference_radius(self, _default_diff_grid(self.m))
 
     @cached_property
     def torus_sigma_min(self) -> float:
         """``min_theta sigma_min(-A22[0] - sum_{i>=1} A22[i] e^{-j theta_i})`` on
-        the default grid of :attr:`gamma_a` (``sigma_min(A22[0])`` for m = 0)."""
+        the whole default grid, whose slice :attr:`gamma_a` takes
+        (``sigma_min(A22[0])`` for m = 0)."""
         if self.m == 0:
             return _sigma_min(self.A22[0])
         return _min_sigma(self.pencil_basis,
@@ -446,9 +448,7 @@ def _torus_grid(m: int, grid_per_dim: int) -> np.ndarray:
     rule one leading coordinate at a time.  A full grid of more than
     ``_MAX_TORUS_POINTS`` points raises :class:`DimensionError`.
     """
-    if grid_per_dim ** m > _MAX_TORUS_POINTS:
-        raise DimensionError(
-            f"a torus grid of {grid_per_dim}**{m} points is over the limit of 2**24")
+    _check_grid_size(m, grid_per_dim)
     g = grid_per_dim
     theta = 2.0 * np.pi * np.arange(g) / g
     low = theta[1:(g + 1) // 2]  # (0, pi): the smaller point of each pair
@@ -459,6 +459,12 @@ def _torus_grid(m: int, grid_per_dim: int) -> np.ndarray:
         if j < m - 1:
             full = _products([(theta, full)])
     return half
+
+
+def _check_grid_size(m: int, g: int):
+    """Refuse a torus grid of ``g**m`` points over ``_MAX_TORUS_POINTS``."""
+    if g ** m > _MAX_TORUS_POINTS:
+        raise DimensionError(f"a torus grid of {g}**{m} points is over the limit of 2**24")
 
 
 def _products(parts) -> np.ndarray:
@@ -620,20 +626,24 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     """Spectral-radius margin gamma_a of the delay-difference part.
 
     gamma_a is the maximum over a uniform grid on ``[0, 2*pi)^m`` of the
-    spectral radius of ``A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}``.  The
-    difference part is strongly exponentially stable only if gamma_a < 1; the
-    quantity does not depend on the delay values.  It is 0 without delays or
-    without an algebraic part.  On the default grid (``grid_per_dim=None``)
+    spectral radius of ``F(theta) = A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}``.
+    The difference part is strongly exponentially stable only if gamma_a < 1;
+    the quantity does not depend on the delay values.  It is 0 without delays
+    or without an algebraic part.  On the default grid (``grid_per_dim=None``)
     this is the value memoised in :attr:`BlockDecomposition.gamma_a`.
 
-    The grid estimate is monotone nondecreasing under refinement by doubling:
-    the grid keeps one point of each conjugate pair (:func:`_torus_grid`), and
-    the pair of every coarse point lies in the doubled grid.  Only the samples
-    whose Gelfand bound ``||F^8||^(1/8)`` (plus a rounding slack) exceeds the
-    largest radius found are decomposed, so the value is the whole grid's,
-    bit for bit, at a fraction of the ``eigvals`` calls.  A grid of more
-    than ``2**24`` points (the default one from m = 9 on) raises
-    :class:`DimensionError`.
+    ``F(theta + phi (1, .., 1)) = e^{-j phi} F(theta)``, so every grid point
+    shares its radius with a point of the slice ``theta_1 = 0``, and only that
+    slice is sampled: ``g**(m-1)`` points, one of each conjugate pair
+    (:func:`_torus_grid`).  The value equals the whole grid's up to rounding;
+    for m = 1 it is ``max |eigvals(F_1)|``, one sample whatever the grid.  It
+    is monotone nondecreasing under refinement by doubling, since the pair of
+    every coarse point lies in the doubled grid.  Only the samples whose
+    Gelfand bound ``||F^8||^(1/8)`` (plus a rounding slack) exceeds the
+    largest radius found are decomposed, so the value is the slice's maximum,
+    bit for bit, at a fraction of the ``eigvals`` calls.  A whole grid of
+    more than ``2**24`` points (the default one from m = 9 on) raises
+    :class:`DimensionError`, though only its slice would be built.
     """
     if dec.m == 0:
         return 0.0
@@ -651,15 +661,16 @@ def _integral(name: str, value) -> int:
 
 
 def _difference_radius(dec: BlockDecomposition, g: int) -> float:
-    """gamma_a on a ``g``-point-per-dimension grid, after Assumption 1.
+    """gamma_a on the slice ``theta_1 = 0`` of a ``g``-point-per-dimension grid,
+    after Assumption 1; refused, as :func:`_torus_grid`, if ``g**m > 2**24``.
 
-    The value is the largest ``eigvals`` radius over the grid, but only the
+    The value is the largest ``eigvals`` radius over the slice, but only the
     samples that may hold it are decomposed.  A first pass keeps one scalar
     per sample, the bound :func:`_radius_bound` of the radius ``eigvals``
     computes there.  ``eigvals`` then runs on batches of ``_EIG_BATCH`` samples
     in decreasing order of that bound and stops once the next bound is at most
     the best radius found: no sample left can exceed it, so the result is the
-    whole grid's maximum, bit for bit.  The samples of a batch are assembled
+    slice's maximum, bit for bit.  The samples of a batch are assembled
     again, which repeats the first pass's sums exactly.
     """
     if dec.nu == 0:
@@ -678,7 +689,8 @@ def _difference_radius(dec: BlockDecomposition, g: int) -> float:
     # solved once, the pencil is A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}.
     A0 = dec.A22[0]
     S = _pencil_basis((np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:]))
-    thetas = _torus_grid(dec.m, g)
+    _check_grid_size(dec.m, g)
+    thetas = _products([(np.zeros(1), _torus_grid(dec.m - 1, g))])
     # Parts of at most _BOUND_PART samples keep the squarings' stacks small.
     parts = np.array_split(thetas, -(-len(thetas) // _BOUND_PART))
     bound = np.concatenate([b for part in parts for b in _pencil_map(

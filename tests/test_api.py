@@ -1,6 +1,10 @@
 """The public functions' options, pinned: a new option is a deliberate edit here."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ddaenorm
 
@@ -40,3 +44,15 @@ def test_no_variadic_keywords():
     variadic = [name for name, fn in _public_functions().items()
                 if any(p.kind is p.VAR_KEYWORD for p in inspect.signature(fn).parameters.values())]
     assert variadic == []
+
+
+def test_import_does_not_load_jsonschema():
+    # Only file validation needs jsonschema, so importing the package and the
+    # CLI leaves it unloaded; the child imports the same ddaenorm as this process.
+    src = str(Path(ddaenorm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ddaenorm, ddaenorm.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -23,7 +24,8 @@ from ddaenorm import (
 )
 from ddaenorm.response import sigma_T_samples
 from ddaenorm.system_model import _pencil_basis, _pencil_map, _torus_grid
-from conftest import make_sys_a, three_delay_system
+from conftest import (dense_stable_system, make_sys_a, make_sys_b, random_stable_system,
+                      three_delay_system)
 
 
 class TestDelays:
@@ -223,12 +225,24 @@ def _difference_system(F):
                       C=np.ones((1, n)), tau=np.arange(1.0, len(F) + 1.0))
 
 
-def _whole_grid_radius(dec, g):
-    """gamma_a with ``eigvals`` on every sample of the grid."""
+def _grid_radius(dec, thetas):
+    """The largest ``eigvals`` radius of ``A22[0]^{-1} sum_i A22[i] e^{-j theta_i}``
+    over every sample of ``thetas``."""
     A0 = dec.A22[0]
     A = (np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:])
     return float(max(_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(),
-                                 _pencil_basis(A), thetas=_torus_grid(dec.m, g))))
+                                 _pencil_basis(A), thetas=thetas)))
+
+
+def _whole_grid_radius(dec, g):
+    """gamma_a with ``eigvals`` on every sample of the whole grid."""
+    return _grid_radius(dec, _torus_grid(dec.m, g))
+
+
+def _slice_radius(dec, g):
+    """gamma_a with ``eigvals`` on every sample of the grid's slice ``theta_1 = 0``."""
+    rest = _torus_grid(dec.m - 1, g)
+    return _grid_radius(dec, np.column_stack([np.zeros(len(rest)), rest]))
 
 
 @st.composite
@@ -256,38 +270,104 @@ def _adversarial_parts(draw):
 
 
 class TestPrunedDifferenceRadius:
-    """The pruned gamma_a grid against ``eigvals`` on the whole grid, bit for bit."""
+    """The pruned gamma_a against ``eigvals`` on every sample of the slice
+    ``theta_1 = 0``, bit for bit, and on the whole grid up to rounding."""
 
     @settings(max_examples=60)
     @given(_adversarial_parts())
     def test_matches_whole_grid(self, parts):
         F, g = parts
         dec = decompose(_difference_system(F))
-        assert check_difference_stability(dec, grid_per_dim=g) == _whole_grid_radius(dec, g)
+        value = check_difference_stability(dec, grid_per_dim=g)
+        assert value == _slice_radius(dec, g)
+        # Near-Jordan radii are ill-conditioned: eigvals gives e^{-j phi} F radii up
+        # to 3e-14 apart at n = 7, and slice and whole grid differ by as much.
+        assert value == pytest.approx(_whole_grid_radius(dec, g), rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("f", [0.75, 1.0 / 3.0, -0.999])
     def test_tied_scalar_grid(self, f):
         # F(theta) = f e^{-j theta}: all 201 samples have the radius |f|, up to rounding
         dec = decompose(_difference_system([np.array([[f]])]))
-        assert check_difference_stability(dec, grid_per_dim=400) == _whole_grid_radius(dec, 400)
+        value = check_difference_stability(dec, grid_per_dim=400)
+        assert value == _slice_radius(dec, 400)
+        assert value == pytest.approx(_whole_grid_radius(dec, 400), rel=1e-14)
 
-    @pytest.mark.parametrize("make, samples", [
-        (make_sys_a, [64]),               # of 2,050
-        (three_delay_system, [64] * 4),   # of 6,916
-    ], ids=["SYS-A", "m3"])
-    def test_eigvals_samples(self, monkeypatch, make, samples):
-        seen = []
-        real = np.linalg.eigvals
+    @pytest.mark.parametrize("make, bound, samples", [
+        (make_sys_a, [33], [33]),                 # whole grid 2,050: [64]
+        (three_delay_system, [145, 145], [64]),   # whole grid 6,916: [64] * 4
+        (lambda: dense_stable_system(3, 6, m=5, tau=np.arange(1.0, 6.0)),
+         [229] * 4 + [228] * 5, [64]),            # whole grid 16,400
+    ], ids=["SYS-A", "m3", "dense-m5"])
+    def test_eigvals_samples(self, monkeypatch, make, bound, samples):
+        # Counts, not clocks: the bound pass covers the slice and no more.
+        dec = decompose(make())
+        seen, bounded = [], []
+        real, real_bound = np.linalg.eigvals, system_model._radius_bound
         monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(len(M)) or real(M))
-        decompose(make()).gamma_a
-        assert seen == samples
+        monkeypatch.setattr(system_model, "_radius_bound",
+                            lambda M: bounded.append(len(M)) or real_bound(M))
+        dec.gamma_a
+        assert (bounded, seen) == (bound, samples)
 
     @pytest.mark.parametrize("make, g", [(make_sys_a, 64), (three_delay_system, 24)],
                              ids=["SYS-A", "m3"])
     def test_one_sample_eigvals_batches(self, monkeypatch, make, g):
         monkeypatch.setattr(system_model, "_EIG_BATCH", 1)
         dec = decompose(make())
-        assert check_difference_stability(dec) == _whole_grid_radius(dec, g)
+        value = check_difference_stability(dec)
+        assert value == _slice_radius(dec, g)
+        assert value == pytest.approx(_whole_grid_radius(dec, g), rel=1e-14)
+
+    @pytest.mark.parametrize("g", [1, 64, 4096])
+    def test_one_delay_is_one_eigvals_sample(self, monkeypatch, g):
+        F1 = np.random.default_rng(7).standard_normal((4, 4))
+        dec = decompose(_difference_system([F1]))
+        seen = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(M.shape) or real(M))
+        value = check_difference_stability(dec, grid_per_dim=g)
+        assert seen == [(1, 4, 4)]
+        assert value == pytest.approx(np.abs(real(F1)).max(), rel=1e-15)
+
+
+@st.composite
+def _rotated_parts(draw):
+    """Delay terms ``F_i`` (m = 1..3), a torus point and a diagonal shift ``phi``."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.standard_normal((m, n, n)) * rng.uniform(0.1, 2.0),
+            rng.uniform(0.0, 2.0 * np.pi, m), rng.uniform(0.0, 2.0 * np.pi))
+
+
+# The random_stable_system seeds of 1..11 that have an algebraic part.
+_ALGEBRAIC_SEEDS = (1, 4, 5, 6, 7, 9, 10)
+
+
+def _radius(F, theta):
+    return np.abs(np.linalg.eigvals(np.tensordot(np.exp(-1j * theta), F, axes=1))).max()
+
+
+class TestDiagonalRotation:
+    """``F(theta + phi (1, .., 1)) = e^{-j phi} F(theta)``: the radius is constant
+    along the diagonal, so the slice ``theta_1 = 0`` holds every grid value."""
+
+    @settings(max_examples=100)
+    @given(_rotated_parts())
+    def test_radius_is_constant_along_the_diagonal(self, parts):
+        F, theta, phi = parts
+        assert _radius(F, theta + phi) == pytest.approx(_radius(F, theta), rel=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        make_sys_a, make_sys_b, three_delay_system,
+        *[functools.partial(random_stable_system, seed) for seed in _ALGEBRAIC_SEEDS],
+        *[functools.partial(dense_stable_system, 3, 6, m=m, tau=np.arange(1.0, m + 1.0))
+          for m in (3, 4, 5)],
+    ], ids=["SYS-A", "SYS-B", "m3", *[f"random-{s}" for s in _ALGEBRAIC_SEEDS],
+            *[f"dense-m{m}" for m in (3, 4, 5)]])
+    def test_slice_matches_whole_grid(self, make):
+        dec = decompose(make())
+        whole = _whole_grid_radius(dec, system_model._default_diff_grid(dec.m))
+        assert dec.gamma_a == pytest.approx(whole, rel=1e-14)
 
 
 class TestValidateSystem:
