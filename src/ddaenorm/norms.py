@@ -40,8 +40,6 @@ from .response import (
     sigma_Ta_torus_samples,
 )
 from .system_model import (
-    _ROUNDING_SLACK,
-    _UNDERFLOW,
     BlockDecomposition,
     DdaeSystem,
     _pencil_map,
@@ -86,6 +84,11 @@ _BOUND_SAFETY = 2.0
 # The strong-norm sweep skips cells of _CELL grid steps per dimension, and then
 # of half as many, that cannot hold its maximum (see _sweep_rows).
 _CELL = 8
+# The cell bound of that sweep (see _cell_bounds): the multiple of ``(n + m) eps``
+# (times the cell's condition bound and the scale of T) that covers the rounding
+# of a computed sample, and an absolute floor for underflow in sums of squares.
+_ROUNDING_SLACK = 64.0
+_UNDERFLOW = 1e-150
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,6 @@ DEFAULT_ASSUMPTION_TOL = 1e-10
 # samples of a bare 2x2 pencil); on 2x2 to 40x40 pencils larger budgets ran no
 # faster and took 2-3x the memory.
 _STACK_BYTES = 8 << 20
-# Pruned grids (gamma_a here, the strong-norm sweep in ``norms``): the multiple of
-# ``n eps`` (times the problem's scale) that covers the rounding of one computed
-# sample, and an absolute floor that covers underflow in sums of squares.
-_ROUNDING_SLACK = 64.0
-_UNDERFLOW = 1e-150
-# Samples per ``eigvals`` call of the pruned gamma_a grid, and at most per part
-# of its bound pass.
-_EIG_BATCH = 64
-_BOUND_PART = 256
 # The most points a full torus grid may have: 2**24 (8 per delay at m = 8);
 # m = 9 with 8 points per delay would hold about 4.8 GB of rows.
 _MAX_TORUS_POINTS = 2 ** 24
@@ -300,13 +291,13 @@ def nullspace_bases(E, rank_tol: float = DEFAULT_RANK_TOL):
     ----------
     E : (n, n) array
     rank_tol : float
-        Relative singular value threshold, must be positive.
+        Relative singular value threshold, must be finite and positive.
     """
     E = _as_matrix(E, "E")
     if E.shape[0] != E.shape[1]:
         raise DimensionError(f"E must be square, got {E.shape}")
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
+    if not (math.isfinite(rank_tol) and rank_tol > 0.0):
+        raise ValueError(f"rank_tol must be finite and positive, got {rank_tol!r}")
     P, s, Qt = np.linalg.svd(E)
     if s.size and s[0] > 0.0:
         rank = int(np.count_nonzero(s >= rank_tol * s[0]))
@@ -364,8 +355,9 @@ class BlockDecomposition:
 
     @cached_property
     def gamma_a(self) -> float:
-        """gamma_a on the default grid's slice ``theta_1 = 0`` (exactly ``max
-        |eigvals(F_1)|`` for m = 1, see :func:`check_difference_stability`); raises
+        """gamma_a, the largest ``eigvals`` radius over every sample of the default
+        grid's slice ``theta_1 = 0`` (exactly ``max |eigvals(F_1)|`` for m = 1, see
+        :func:`check_difference_stability`); raises
         :class:`AssumptionError` if ``A22[0]`` is singular, also for m = 0, and
         :class:`DimensionError` when the whole grid is over 2**24 points (m >= 9)."""
         return _difference_radius(self, _default_diff_grid(self.m))
@@ -638,40 +630,34 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     (:func:`_torus_grid`).  The value equals the whole grid's up to rounding;
     for m = 1 it is ``max |eigvals(F_1)|``, one sample whatever the grid.  It
     is monotone nondecreasing under refinement by doubling, since the pair of
-    every coarse point lies in the doubled grid.  Only the samples whose
-    Gelfand bound ``||F^8||^(1/8)`` (plus a rounding slack) exceeds the
-    largest radius found are decomposed, so the value is the slice's maximum,
-    bit for bit, at a fraction of the ``eigvals`` calls.  A whole grid of
-    more than ``2**24`` points (the default one from m = 9 on) raises
+    every coarse point lies in the doubled grid.  ``eigvals`` runs on every
+    sample of the slice.  A ``grid_per_dim`` that is not an integer ``>= 1``
+    raises ``ValueError`` for every system, and a whole grid of more than
+    ``2**24`` points (the default one from m = 9 on) raises
     :class:`DimensionError`, though only its slice would be built.
     """
+    g = None if grid_per_dim is None else _grid_per_dim(grid_per_dim)
     if dec.m == 0:
         return 0.0
-    if grid_per_dim is None:
-        return dec.gamma_a
-    return _difference_radius(dec, _integral("grid_per_dim", grid_per_dim))
+    return dec.gamma_a if g is None else _difference_radius(dec, g)
 
 
-def _integral(name: str, value) -> int:
-    """``value`` by ``operator.index``; ``ValueError`` naming ``name`` if it is not integral."""
+def _grid_per_dim(value) -> int:
+    """``value`` by ``operator.index``; ``ValueError`` unless it is an integer ``>= 1``."""
     try:
-        return operator.index(value)
+        g = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"grid_per_dim must be an integer, got {value!r}") from None
+    if g < 1:
+        raise ValueError("grid_per_dim must be >= 1")
+    return g
 
 
 def _difference_radius(dec: BlockDecomposition, g: int) -> float:
     """gamma_a on the slice ``theta_1 = 0`` of a ``g``-point-per-dimension grid,
     after Assumption 1; refused, as :func:`_torus_grid`, if ``g**m > 2**24``.
 
-    The value is the largest ``eigvals`` radius over the slice, but only the
-    samples that may hold it are decomposed.  A first pass keeps one scalar
-    per sample, the bound :func:`_radius_bound` of the radius ``eigvals``
-    computes there.  ``eigvals`` then runs on batches of ``_EIG_BATCH`` samples
-    in decreasing order of that bound and stops once the next bound is at most
-    the best radius found: no sample left can exceed it, so the result is the
-    slice's maximum, bit for bit.  The samples of a batch are assembled
-    again, which repeats the first pass's sums exactly.
+    The value is the largest ``eigvals`` radius over every sample of the slice.
     """
     if dec.nu == 0:
         return 0.0
@@ -683,60 +669,13 @@ def _difference_radius(dec: BlockDecomposition, g: int) -> float:
         )
     if dec.m == 0:
         return 0.0
-    if g < 1:
-        raise ValueError("grid_per_dim must be >= 1")
     # With a zero constant term and the delay terms F_i = -A22[0]^{-1} A22[i],
     # solved once, the pencil is A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}.
     A0 = dec.A22[0]
     S = _pencil_basis((np.zeros_like(A0),) + tuple(np.linalg.solve(-A0, Ai) for Ai in dec.A22[1:]))
     _check_grid_size(dec.m, g)
     thetas = _products([(np.zeros(1), _torus_grid(dec.m - 1, g))])
-    # Parts of at most _BOUND_PART samples keep the squarings' stacks small.
-    parts = np.array_split(thetas, -(-len(thetas) // _BOUND_PART))
-    bound = np.concatenate([b for part in parts for b in _pencil_map(
-        _radius_bound, S, thetas=part, rhs=2 * A0.shape[0])])
-    order = np.argsort(-bound, kind="stable")
-    best = -math.inf
-    for lo in range(0, order.size, _EIG_BATCH):
-        if bound[order[lo]] <= best:
-            break
-        best = max(best, *_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), S,
-                                      thetas=thetas[order[lo:lo + _EIG_BATCH]]))
-    return float(best)
-
-
-def _radius_bound(M) -> np.ndarray:
-    """Per sample, an upper bound of the spectral radius ``eigvals`` computes for ``M``.
-
-    Gelfand's bound ``rho(F) <= ||F^8||^(1/8) <= ||F^8||_F^(1/8)``, with ``F^8``
-    from three squarings and ``f = ||F||_F``, plus a slack for rounding:
-    ``(||fl(F^8)||_F + _ROUNDING_SLACK n (n + 1) eps f^8 + _UNDERFLOW)^(1/8)``.
-
-    * The squarings: a product ``fl(XY)`` is off by at most ``n eps ||X|| ||Y||``
-      in the Frobenius norm, which adds up to ``7 n eps f^8`` over the three.
-    * ``eigvals``: the radius it returns is that of ``F + E`` with
-      ``||E||_F <= p(n) eps f`` (backward stability, ``p(n)`` a modest multiple of
-      ``n``), and ``||(F + E)^8 - F^8||_F <= (f + ||E||)^8 - f^8``, about
-      ``8 p(n) eps f^8``.
-    * The Frobenius norms (a sum of ``2 n^2`` squares), the absolute value of the
-      eigenvalue and the eighth root are accurate to ``2 n^2 eps`` relative at
-      worst, which is at most ``2 n^2 eps f^8`` on the eighth power (``rho <= f``).
-
-    Together these stay below ``64 n (n + 1) eps f^8``.  ``_UNDERFLOW`` covers
-    the squares that underflow in the norms (below ``n * 1.5e-154`` in all).
-    A sample with a non-finite entry gets an infinite bound, so it is
-    decomposed first and fails as it would on the whole grid.
-    """
-    n = M.shape[1]
-    P = M @ M
-    P = P @ P
-    P = P @ P
-    V, W = M.view(np.float64), P.view(np.float64)  # squared norms with no stack-sized temporary
-    with np.errstate(over="ignore", invalid="ignore"):
-        f2 = np.einsum("kij,kij->k", V, V)
-        slack = _ROUNDING_SLACK * n * (n + 1) * np.finfo(float).eps * f2 ** 4 + _UNDERFLOW
-        bound = (np.sqrt(np.einsum("kij,kij->k", W, W)) + slack) ** 0.125
-    return np.nan_to_num(bound, nan=math.inf)
+    return float(max(_pencil_map(lambda M: np.abs(np.linalg.eigvals(M)).max(), S, thetas=thetas)))
 
 
 def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, tau=None) -> float:
@@ -808,12 +747,13 @@ def validate_system(
     ``sigma_min`` of the characteristic matrix along part of the imaginary
     axis.  Full characteristic-root analysis is out of scope.
 
-    The options are checked first, whatever the assumption checks find:
-    ``grid_per_dim < 1`` and an ``axis_scan_omega_max`` that is not finite and
-    nonnegative raise ``ValueError``.
+    The options are checked first, whatever the assumption checks find: a
+    ``rank_tol`` that is not finite and positive, a ``grid_per_dim`` that is
+    not an integer ``>= 1`` and an ``axis_scan_omega_max`` that is not finite
+    and nonnegative raise ``ValueError``.
     """
-    if grid_per_dim is not None and grid_per_dim < 1:
-        raise ValueError("grid_per_dim must be >= 1")
+    if grid_per_dim is not None:
+        _grid_per_dim(grid_per_dim)
     if axis_scan_omega_max is not None:
         _omega_max(axis_scan_omega_max)
     dec = decompose(sys, rank_tol)

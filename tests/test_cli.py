@@ -71,6 +71,7 @@ class TestCheck:
         ("--axis-scan=nan", "omega_max must be finite and nonnegative, got nan"),
         ("--axis-scan=-5", "omega_max must be finite and nonnegative, got -5.0"),
         ("--grid-per-dim=0", "grid_per_dim must be >= 1"),
+        ("--rank-tol=nan", "rank_tol must be finite and positive, got nan"),
     ])
     def test_invalid_option_on_ill_posed_exit_1(self, tmp_path, capsys, option, message):
         doc = {"n": 1, "delays": [], "E": [[0.0]], "A": [[[0.0]]],

@@ -90,6 +90,13 @@ class TestNullspaceBases:
         with pytest.raises(DimensionError):
             nullspace_bases(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_rank_tol_rejected(self, sys_a, tol):
+        # a NaN threshold would count no singular value, so rank(E) = 0
+        message = f"rank_tol must be finite and positive, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nullspace_bases(sys_a.E, tol)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_known_rank(self, seed):
         rng = np.random.default_rng(seed)
@@ -204,11 +211,19 @@ class TestDifferenceStability:
         with pytest.raises(AssumptionError):
             check_difference_stability(decompose(sys))
 
-    @pytest.mark.parametrize("g", [130.5, 16.0, "16"])
-    def test_non_integral_grid_rejected(self, sys_a, g):
-        message = f"grid_per_dim must be an integer, got {g!r}"
+    @pytest.mark.parametrize("make", [
+        make_sys_a,
+        lambda: DdaeSystem(E=[[1.0]], A=([[-1.0]], [[0.5]]), B=[[1.0]], C=[[1.0]], tau=[1.0]),
+        lambda: DdaeSystem(E=np.zeros((2, 2)), A=(np.eye(2),), B=np.eye(2), C=np.eye(2), tau=[]),
+    ], ids=["SYS-A", "nu0", "m0"])
+    @pytest.mark.parametrize("g, message", [
+        *[(g, f"grid_per_dim must be an integer, got {g!r}") for g in (130.5, 16.0, "16", 2.5)],
+        *[(g, "grid_per_dim must be >= 1") for g in (0, -3)],
+    ], ids=["130.5", "16.0", "'16'", "2.5", "0", "-3"])
+    def test_non_integral_grid_rejected(self, make, g, message):
+        # refused for every system, also where the value would not need the grid
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check_difference_stability(decompose(sys_a), grid_per_dim=g)
+            check_difference_stability(decompose(make()), grid_per_dim=g)
 
     def test_monotone_under_grid_doubling(self, sys_a):
         dec = decompose(sys_a)
@@ -247,7 +262,7 @@ def _slice_radius(dec, g):
 
 @st.composite
 def _adversarial_parts(draw):
-    """Delay terms whose radius the Gelfand bound overestimates, ties or nearly misses."""
+    """Delay terms whose radii are ill-conditioned, tied, or far below ``||F||_F``."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["jordan", "nilpotent", "normal", "wide", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -270,8 +285,8 @@ def _adversarial_parts(draw):
 
 
 class TestPrunedDifferenceRadius:
-    """The pruned gamma_a against ``eigvals`` on every sample of the slice
-    ``theta_1 = 0``, bit for bit, and on the whole grid up to rounding."""
+    """gamma_a against ``eigvals`` on every sample of the slice ``theta_1 = 0``,
+    bit for bit, and on the whole grid up to rounding."""
 
     @settings(max_examples=60)
     @given(_adversarial_parts())
@@ -292,27 +307,23 @@ class TestPrunedDifferenceRadius:
         assert value == _slice_radius(dec, 400)
         assert value == pytest.approx(_whole_grid_radius(dec, 400), rel=1e-14)
 
-    @pytest.mark.parametrize("make, bound, samples", [
-        (make_sys_a, [33], [33]),                 # whole grid 2,050: [64]
-        (three_delay_system, [145, 145], [64]),   # whole grid 6,916: [64] * 4
-        (lambda: dense_stable_system(3, 6, m=5, tau=np.arange(1.0, 6.0)),
-         [229] * 4 + [228] * 5, [64]),            # whole grid 16,400
+    @pytest.mark.parametrize("make, samples", [
+        (make_sys_a, [33]),           # whole grid 2,050
+        (three_delay_system, [290]),  # whole grid 6,916
+        (lambda: dense_stable_system(3, 6, m=5, tau=np.arange(1.0, 6.0)), [2056]),  # 16,400
     ], ids=["SYS-A", "m3", "dense-m5"])
-    def test_eigvals_samples(self, monkeypatch, make, bound, samples):
-        # Counts, not clocks: the bound pass covers the slice and no more.
+    def test_eigvals_samples(self, monkeypatch, make, samples):
+        # Counts, not clocks: one eigvals call covers the slice and no more.
         dec = decompose(make())
-        seen, bounded = [], []
-        real, real_bound = np.linalg.eigvals, system_model._radius_bound
+        seen = []
+        real = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda M: seen.append(len(M)) or real(M))
-        monkeypatch.setattr(system_model, "_radius_bound",
-                            lambda M: bounded.append(len(M)) or real_bound(M))
         dec.gamma_a
-        assert (bounded, seen) == (bound, samples)
+        assert seen == samples
 
     @pytest.mark.parametrize("make, g", [(make_sys_a, 64), (three_delay_system, 24)],
                              ids=["SYS-A", "m3"])
-    def test_one_sample_eigvals_batches(self, monkeypatch, make, g):
-        monkeypatch.setattr(system_model, "_EIG_BATCH", 1)
+    def test_one_sample_eigvals_batches(self, make, g):
         dec = decompose(make())
         value = check_difference_stability(dec)
         assert value == _slice_radius(dec, g)
@@ -400,6 +411,10 @@ class TestValidateSystem:
         ({"axis_scan_omega_max": -5.0}, "omega_max"),
         ({"axis_scan_omega_max": math.inf}, "omega_max"),
         ({"grid_per_dim": 0}, "grid_per_dim"),
+        ({"grid_per_dim": -3}, "grid_per_dim"),
+        ({"grid_per_dim": 2.5}, "grid_per_dim"),
+        ({"grid_per_dim": "16"}, "grid_per_dim"),
+        *[({"rank_tol": tol}, "rank_tol") for tol in (math.nan, math.inf, 0.0, -1.0)],
     ])
     def test_options_checked_before_assumptions(self, E, options, name):
         # A_0 = 0: Assumption 1 fails for E = 0 and is vacuous for E = 1
