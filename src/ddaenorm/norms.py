@@ -40,13 +40,14 @@ from .response import (
     sigma_Ta_torus_samples,
 )
 from .system_model import (
+    _ROUNDING_SLACK,
     BlockDecomposition,
     DdaeSystem,
+    _cell_rounds,
     _pencil_map,
     _resolve_tau,
     _sigma_min,
     _spectral_norm,
-    _torus_grid,
     check_difference_stability,
     decompose,
 )
@@ -81,13 +82,8 @@ _STENCIL_RADIUS = 1e-5
 _MAX_ASCENT = 60
 # Inflation of the torus resolvent estimate in the high-frequency envelope.
 _BOUND_SAFETY = 2.0
-# The strong-norm sweep skips cells of _CELL grid steps per dimension, and then
-# of half as many, that cannot hold its maximum (see _sweep_rows).
-_CELL = 8
-# The cell bound of that sweep (see _cell_bounds): the multiple of ``(n + m) eps``
-# (times the cell's condition bound and the scale of T) that covers the rounding
-# of a computed sample, and an absolute floor for underflow in sums of squares.
-_ROUNDING_SLACK = 64.0
+# The cell bound of the strong-norm sweep (see _cell_bounds): an absolute floor
+# for underflow in sums of squares.
 _UNDERFLOW = 1e-150
 
 
@@ -145,74 +141,35 @@ def _sigma1(sample, system, points, *args) -> np.ndarray:
     return np.where(ok, sig[:, 0], -np.inf)
 
 
-def _sweep_rows(dec: BlockDecomposition, g: int) -> np.ndarray:
+def _sweep_rows(dec: BlockDecomposition, g: int):
     """The rows of ``_torus_grid(dec.m, g)`` that may hold the sweep's maximum.
 
     Returns the half-grid rows, in their order, whose computed ``sigma_1`` may
     reach the largest one, so that the grid maximum, its first occurrence and
-    the first singular row are those of the whole grid, bit for bit.
-
-    Two levels of cells cover the grid: blocks of ``_CELL`` grid steps per
-    dimension, then blocks of ``_CELL // 2``, clipped at the grid's edge.  A
-    level takes the cells that still hold half-grid rows, each with a grid
-    point ``c`` at its centre and every point within ``r_i`` steps of ``h = 2
-    pi / g`` in dimension ``i``, and :func:`_cell_bounds` gives the sampler's
-    value at ``c`` and a bound of ``sigma_1`` on the cell that covers the
-    rounding of every computed row.  A cell is skipped when its bound lies
-    below ``t``, the largest value at a centre that is a half-grid row, over
-    this level and the ones before.  ``t`` is a value the sweep computes, so
-    every skipped row computes below the sweep's maximum.  A cell whose centre
-    is flagged singular is never skipped, and no row of a skipped cell can be
-    flagged, so the first flagged row of the sweep is the whole grid's.  When
-    every cell of the first level has ``q > 1`` (see :func:`_cell_bounds`),
-    the second is skipped: its cells, half as wide, would have ``q`` near
-    half of that, above the bound's limit of 1/2, so they would cost their
-    bounds and keep every row (as on peaked grids, gamma_a near 1).  Skipping
-    a level only sweeps more rows.  An exactly singular centre that the
-    sampler passed (numpy's ``inv`` rejects it) returns the whole half grid.
+    the first singular row are those of the whole grid, bit for bit, and the
+    number of cells bounded in each round: the rows that :func:`_cell_rounds`
+    leaves open, with the cell widths of :func:`_sweep_widths` and the bounds
+    of :func:`_cell_bounds`, which flag no row of a cell they bound.
     """
-    m = dec.m
-    theta = 2.0 * np.pi * np.arange(g) / g
-    i = np.arange(g)
-    low, own = (0 < 2 * i) & (2 * i < g), (i == 0) | (2 * i == g)
-    half, t = _half_rows(low, own, m), -np.inf
-    bounds = _cell_bounds(dec)
-    for w in (_CELL, _CELL // 2):
-        lo = np.arange(0, g, w)
-        size = np.minimum(lo + w, g) - lo
-        # the cells that hold half-grid rows, and at the second level an open parent
-        held = _half_rows(np.logical_or.reduceat(low, lo), np.logical_or.reduceat(own, lo), m)
-        if w < _CELL:
-            held &= kept[np.ix_(*[lo // _CELL] * m)]
-        cells = np.argwhere(held)
-        index = (lo + size // 2)[cells]
-        try:
-            value, bound, q = bounds(theta[index], (2.0 * np.pi / g) * (size // 2)[cells])
-        except np.linalg.LinAlgError:
-            return _torus_grid(m, g)
-        t = np.fmax.reduce(value[half[tuple(index.T)]], initial=t)  # skips NaN (flagged)
-        kept = held
-        kept[tuple(cells[bound < t].T)] = False
-        if not (q <= 1.0).any():  # half as wide, no cell would pass q <= 1/2
-            break
-    for axis in range(m):
-        kept = np.repeat(kept, size, axis=axis)
-    rows = np.flatnonzero(half & kept)  # flat C-order indices, as the half grid runs
-    return theta[rows[:, None] // g ** np.arange(m - 1, -1, -1) % g]
+    return _cell_rounds(dec.m, g, _sweep_widths(dec), _cell_bounds(dec))
 
 
-def _half_rows(low, own, m: int) -> np.ndarray:
-    """The rows of :func:`_torus_grid` as a mask: the first coordinate that is
-    not its own mirror lies in (0, pi), or every coordinate is its own mirror.
+def _sweep_widths(dec: BlockDecomposition) -> tuple:
+    """The cell widths of the strong-norm sweep's rounds, in grid steps per dimension.
 
-    ``low`` and ``own`` flag these per grid index; given per block of
-    indices (whether the block holds one), the mask flags the cells that hold
-    a row of the half grid.
+    16, 8 and 4 for m = 2.  For m = 3, 16, 8, 4 and 2 where ``nu >= 3`` and
+    the transfer ``C2 (.) B2`` is a vector or 2x2: a row then costs a LAPACK
+    solve, while a cell's ``2^m`` vertices take the closed form of
+    :func:`_singular_values`.  Otherwise (m = 1, m >= 4, ``nu <= 2`` or a
+    wider transfer) 8, then 4, where the other rounds cost more than they
+    saved or were not measured to save.
     """
-    half = np.ones((), dtype=bool)
-    for _ in range(m):
-        half = low.reshape(-1, *[1] * half.ndim) | (own.reshape(-1, *[1] * half.ndim) & half)
-    return half
+    outs, ins = dec.C2.shape[0], dec.B2.shape[1]
+    if dec.m == 2:
+        return 16, 8, 4
+    if dec.m == 3 and dec.nu >= 3 and (min(outs, ins) <= 1 or outs == ins == 2):
+        return 16, 8, 4, 2
+    return 8, 4
 
 
 def _cell_bounds(dec: BlockDecomposition):
@@ -282,8 +239,9 @@ def _cell_bounds(dec: BlockDecomposition):
     c2, b2 = _frobenius(C2[None])[0], _frobenius(B2[None])[0]
     u = _ROUNDING_SLACK * (n + m) * np.finfo(float).eps
     signs = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)  # (2^m, m) vertices
-    # columns of n entries per cell: the vertex stack, C2 G [A22[1] .. A22[m]], G B2, C2 G
-    rhs = -(-(2 ** m) * outs * ins // n) + m * outs + ins + outs
+    # columns of n entries per cell: the pencil, the vertex stack, C2 G [A22[1] .. A22[m]],
+    # G B2 and C2 G, thrice, as the products' temporaries peak at 2.0-3.4 times these
+    rhs = 3 * (n - (-(2 ** m) * outs * ins // n) + m * outs + ins + outs) - n
     eye = np.eye(2).tobytes()
     adjugate = _adjugate_map((2, 2), eye, (2, 2), eye)  # M -> adj(M), as the sampler's Cramer rule
 
@@ -472,11 +430,13 @@ def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:
     at ``theta`` and ``-theta``, the grid holds one point of each such pair,
     the lexicographically smaller (about half the points).  Grid points
     tie-break to the lexicographically smallest torus point, as on the full
-    grid.  The sweep skips the rows that a second-order cell bound
-    (:func:`_sweep_rows`) proves to compute below the grid maximum; the grid
-    maximum, its location, the first singular torus matrix and so the whole
-    result are those of the whole grid, bit for bit.
-    ``diagnostics["grid_points"]`` counts the rows swept.
+    grid.  The sweep skips the rows that a second-order cell bound proves to
+    compute below the grid maximum, in rounds of dyadic cells that split only
+    the cells still open (:func:`_sweep_rows`); the grid maximum, its
+    location, the first singular torus matrix and so the whole result are
+    those of the whole grid, bit for bit.  ``diagnostics["grid_points"]``
+    counts the rows swept and ``diagnostics["cells"]`` the cells bounded in
+    each round.
 
     Raises
     ------
@@ -519,7 +479,7 @@ def _torus_maximum(dec: BlockDecomposition, g: int) -> NormResult:
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,
             diagnostics={"gamma_a": gamma_a, "note": "no delays: constant T_a"},
         )
-    thetas = _sweep_rows(dec, g)
+    thetas, cells = _sweep_rows(dec, g)
     sig, ok = sigma_Ta_torus_samples(dec, thetas)
     if not ok.all():
         j = int(np.argmax(~ok))
@@ -543,6 +503,7 @@ def _torus_maximum(dec: BlockDecomposition, g: int) -> NormResult:
         diagnostics={
             "grid_per_dim": g,
             "grid_points": len(thetas),
+            "cells": cells,
             "grid_max": grid_max,
             "refine_cycles": cycles,
             "gamma_a": gamma_a,

@@ -49,6 +49,10 @@ _MAX_TORUS_POINTS = 2 ** 24
 # The low-rank kernel of T (see :func:`_delay_channels`) takes a sample only
 # where its error gain ``cond(s0 E - A_0) cond(W) max_k |d_k|`` is at most this.
 _GAIN_MAX = 1e3
+# The cell bounds of the torus sweeps (``norms._cell_bounds`` and
+# :func:`_weyl_bounds`): the multiple of ``(n + m) eps`` that covers the rounding
+# of a computed sample.
+_ROUNDING_SLACK = 64.0
 
 
 def _as_real(x, name) -> np.ndarray:
@@ -366,11 +370,16 @@ class BlockDecomposition:
     def torus_sigma_min(self) -> float:
         """``min_theta sigma_min(-A22[0] - sum_{i>=1} A22[i] e^{-j theta_i})`` on
         the whole default grid, whose slice :attr:`gamma_a` takes
-        (``sigma_min(A22[0])`` for m = 0)."""
+        (``sigma_min(A22[0])`` for m = 0).
+
+        Cell rounds of 8, 4 and 2 grid steps (:func:`_cell_rounds`, widths
+        ``>= g`` skipped) with the Weyl bound of :func:`_weyl_bounds` skip the
+        cells whose rows all compute above a value the rounds have seen, so the
+        SVDs of the rows left give the whole grid's minimum, bit for bit."""
         if self.m == 0:
             return _sigma_min(self.A22[0])
-        return _min_sigma(self.pencil_basis,
-                          thetas=_torus_grid(self.m, _default_diff_grid(self.m)))
+        rows, _ = _cell_rounds(self.m, _default_diff_grid(self.m), (8, 4, 2), _weyl_bounds(self))
+        return _min_sigma(self.pencil_basis, thetas=rows)
 
     @cached_property
     def pencil_basis(self) -> np.ndarray:
@@ -471,6 +480,118 @@ def _products(parts) -> np.ndarray:
         block[:, :, 1:] = r
         lo += len(t) * len(r)
     return out
+
+
+def _cell_rounds(m: int, g: int, widths, bounds):
+    """The rows of ``_torus_grid(m, g)`` that may hold a largest computed value.
+
+    Returns the half-grid rows, in their order, that rounds of dyadic cells
+    leave open, and the number of cells bounded in each round.  A round of
+    width ``w`` covers the grid with blocks of ``w`` grid steps per
+    dimension, clipped at the grid's edge; ``widths`` halve from one round to
+    the next, and those ``>= g`` are skipped.  The first round takes every
+    cell that holds half-grid rows, a later one the ``2^m`` children of the
+    cells still open.  A cell has a grid point ``c`` at its centre and every
+    point within ``r_i`` steps of ``h = 2 pi / g`` in dimension ``i``, and
+    ``bounds(centres, r)``, both (K, m), returns ``(value, bound, q)`` per
+    cell: the computed value at ``c`` (NaN where it is flagged), a bound of
+    the value computed at every row of the cell (``inf`` where there is
+    none), and ``q``, which the bound needs at most 1/2 and which halves
+    with the cell.
+
+    A cell is closed when its bound lies below ``t``, the largest value at a
+    centre that is a half-grid row, over this round and the ones before.
+    ``t`` is a value the sweep computes, so every row of a closed cell
+    computes below the sweep's maximum, and the grid maximum and its first
+    occurrence are the whole grid's.  A cell whose centre is flagged is never
+    closed, and where ``bounds`` promises that no row of a closed cell is
+    flagged, the first flagged row is the whole grid's too.  With ``k``
+    halvings left, the rounds stop when no cell of this one has ``q <=
+    2^(k-1)``: the finest cells would have ``q`` above 1/2, so they would
+    cost their bounds and keep every row.  Stopping early only sweeps more
+    rows.  Where ``bounds`` raises ``LinAlgError`` (an exactly singular
+    centre that a sampler passed), the whole half grid is returned.  A grid
+    of more than ``_MAX_TORUS_POINTS`` points raises :class:`DimensionError`.
+    """
+    _check_grid_size(m, g)
+    widths = [w for w in widths if w < g]
+    theta = 2.0 * np.pi * np.arange(g) / g
+    i = np.arange(g)
+    low, own = (0 < 2 * i) & (2 * i < g), (i == 0) | (2 * i == g)
+    half, t, counts, kept = _half_rows(low, own, m), -np.inf, [], None
+    for left, w in zip(range(len(widths) - 1, -1, -1), widths):
+        lo = np.arange(0, g, w)
+        size = np.minimum(lo + w, g) - lo
+        held = _half_rows(np.logical_or.reduceat(low, lo), np.logical_or.reduceat(own, lo), m)
+        if kept is not None:  # the children of the cells still open
+            held &= kept[np.ix_(*[lo // (2 * w)] * m)]
+        cells = np.argwhere(held)
+        index = (lo + size // 2)[cells]
+        counts.append(len(cells))
+        try:
+            value, bound, q = bounds(theta[index], (2.0 * np.pi / g) * (size // 2)[cells])
+        except np.linalg.LinAlgError:
+            return _torus_grid(m, g), counts
+        t = np.fmax.reduce(value[half[tuple(index.T)]], initial=t)  # skips NaN (flagged)
+        kept = held
+        kept[tuple(cells[bound < t].T)] = False
+        if left and not (q <= 2.0 ** (left - 1)).any():
+            break
+    if kept is None:
+        return _torus_grid(m, g), counts
+    for axis in range(m):
+        kept = np.repeat(kept, size, axis=axis)
+    rows = np.flatnonzero(half & kept)  # flat C-order indices, as the half grid runs
+    return theta[rows[:, None] // g ** np.arange(m - 1, -1, -1) % g], counts
+
+
+def _half_rows(low, own, m: int) -> np.ndarray:
+    """The rows of :func:`_torus_grid` as a mask: the first coordinate that is
+    not its own mirror lies in (0, pi), or every coordinate is its own mirror.
+
+    ``low`` and ``own`` flag these per grid index; given per block of
+    indices (whether the block holds one), the mask flags the cells that hold
+    a row of the half grid.
+    """
+    half = np.ones((), dtype=bool)
+    for _ in range(m):
+        half = low.reshape(-1, *[1] * half.ndim) | (own.reshape(-1, *[1] * half.ndim) & half)
+    return half
+
+
+def _weyl_bounds(dec: BlockDecomposition):
+    """The ``bounds`` of :func:`_cell_rounds` for the smallest ``sigma_min`` of
+    the torus matrix ``M(theta) = -A22[0] - sum_i A22[i] e^{-j theta_i}``.
+
+    The rounds keep a largest value, so the values are ``-sigma_min``.  With
+    ``delta = sum_i r_i ||A22[i]||``, ``||M(theta) - M(c)|| <= delta`` on the
+    cell (``|e^{-j theta} - e^{-j c}| <= |theta - c|``), and Weyl's inequality
+    gives ``sigma_min(M(theta)) >= sigma_min(M(c)) - delta``.  A computed
+    ``sigma_min`` lies within ``s = u sum_{i>=0} ||A22[i]||`` of the exact one,
+    with ``u = _ROUNDING_SLACK (n + m) eps``: it is the exact one of a matrix
+    perturbed by the assembly (``(2 m + 1) eps`` times the entries' sums) and
+    by the SVD's backward error (a modest multiple of ``n eps ||M||``).  So
+    every row of the cell computes at least ``sigma_min(c) - 1.01 delta - 2 s``,
+    the factor 1.01 covering the rounding of ``r`` and of the norms.  ``q =
+    1.01 delta / (2 (sigma_min(c) - sigma_0 - 2 s))``, with ``sigma_0`` the
+    smallest value at the round's centres (``inf`` where the gap is not
+    positive), is at most 1/2 about where the cell can close, so the rounds
+    stop where no cell could close even at the finest width, as on grids
+    flat to rounding.
+    """
+    a = np.array([_spectral_norm(Ai) for Ai in dec.A22])
+    slack = 2.0 * _ROUNDING_SLACK * (dec.nu + dec.m) * np.finfo(float).eps * a.sum()
+
+    def bounds(centres, r):
+        smin = np.concatenate(_pencil_map(lambda M: np.linalg.svd(M, compute_uv=False)[:, -1],
+                                          dec.pencil_basis, thetas=centres))
+        delta = 1.01 * (r @ a[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = delta / (2.0 * (smin - smin.min() - slack))
+        q[~(q >= 0.0)] = np.inf
+        return -smin, delta + slack - smin, q
+
+    return bounds
 
 
 def _default_diff_grid(m: int) -> int:
@@ -620,9 +741,11 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     gamma_a is the maximum over a uniform grid on ``[0, 2*pi)^m`` of the
     spectral radius of ``F(theta) = A22[0]^{-1} sum_{i>=1} A22[i] e^{-j theta_i}``.
     The difference part is strongly exponentially stable only if gamma_a < 1;
-    the quantity does not depend on the delay values.  It is 0 without delays
-    or without an algebraic part.  On the default grid (``grid_per_dim=None``)
-    this is the value memoised in :attr:`BlockDecomposition.gamma_a`.
+    the quantity does not depend on the delay values.  It is 0 without an
+    algebraic part, and 0 without delays once Assumption 1 holds; where it
+    fails, :class:`AssumptionError` is raised, also for m = 0.  On the default
+    grid (``grid_per_dim=None``) this is the value memoised in
+    :attr:`BlockDecomposition.gamma_a`.
 
     ``F(theta + phi (1, .., 1)) = e^{-j phi} F(theta)``, so every grid point
     shares its radius with a point of the slice ``theta_1 = 0``, and only that
@@ -636,20 +759,19 @@ def check_difference_stability(dec: BlockDecomposition, grid_per_dim: int | None
     ``2**24`` points (the default one from m = 9 on) raises
     :class:`DimensionError`, though only its slice would be built.
     """
-    g = None if grid_per_dim is None else _grid_per_dim(grid_per_dim)
-    if dec.m == 0:
-        return 0.0
+    g = None if grid_per_dim is None else _positive_int(grid_per_dim, "grid_per_dim")
     return dec.gamma_a if g is None else _difference_radius(dec, g)
 
 
-def _grid_per_dim(value) -> int:
-    """``value`` by ``operator.index``; ``ValueError`` unless it is an integer ``>= 1``."""
+def _positive_int(value, name) -> int:
+    """``value`` by ``operator.index``; ``ValueError`` naming ``name`` unless it
+    is an integer ``>= 1``."""
     try:
         g = operator.index(value)
     except TypeError:
-        raise ValueError(f"grid_per_dim must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if g < 1:
-        raise ValueError("grid_per_dim must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
     return g
 
 
@@ -684,11 +806,10 @@ def imaginary_axis_margin(sys: DdaeSystem, omega_max: float, count: int = 2001, 
 
     A small value flags a characteristic root close to the scanned part of the
     imaginary axis; a comfortable margin proves nothing by itself.  The grid
-    has ``count >= 1`` points on ``[0, omega_max]``, with ``omega_max`` finite
-    and nonnegative; other values raise ``ValueError``.
+    has ``count`` points on ``[0, omega_max]``, with ``count`` an integer ``>= 1``
+    and ``omega_max`` finite and nonnegative; other values raise ``ValueError``.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = _positive_int(count, "count")
     omega_max = _omega_max(omega_max)
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.linspace(0.0, omega_max, count)
@@ -753,7 +874,7 @@ def validate_system(
     and nonnegative raise ``ValueError``.
     """
     if grid_per_dim is not None:
-        _grid_per_dim(grid_per_dim)
+        _positive_int(grid_per_dim, "grid_per_dim")
     if axis_scan_omega_max is not None:
         _omega_max(axis_scan_omega_max)
     dec = decompose(sys, rank_tol)

@@ -28,7 +28,8 @@ from ddaenorm import (
     system_model,
 )
 from ddaenorm.response import sigma_Ta_samples, sigma_Ta_torus_samples
-from ddaenorm.system_model import _min_sigma, _pencil_basis, _pencil_map, _torus_grid
+from ddaenorm.system_model import (_default_diff_grid, _min_sigma, _pencil_basis, _pencil_map,
+                                   _torus_grid)
 from conftest import (
     _orthogonal,
     brute_hinf_formula,
@@ -566,63 +567,72 @@ class TestWideProbe:
 class TestTorusEvaluations:
     """Cells, points and calls of ``strong_norm_Ta``'s pruned half-torus sweep and its polish."""
 
-    @staticmethod
-    def _count(monkeypatch):
-        """Record the centres of each level of cells and the sampler's points per call."""
-        levels, seen = [], []
-        real_bounds, real_sample = norms._cell_bounds, norms.sigma_Ta_torus_samples
-
-        def bounds(dec):
-            cells = real_bounds(dec)
-
-            def counted(centres, r):
-                levels.append(len(centres))
-                return cells(centres, r)
-            return counted
-
-        def sample(dec, thetas):
-            seen.append(len(thetas))
-            return real_sample(dec, thetas)
-
-        monkeypatch.setattr(norms, "_cell_bounds", bounds)
-        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", sample)
-        return levels, seen
-
     @pytest.mark.parametrize("make, cells, rows", [
-        (make_sys_a, [1_276, 40], 153),
-        (make_sys_b, [1_276, 52], 217),
+        (make_sys_a, [325, 28, 40], 153),
+        (make_sys_b, [325, 44, 32], 217),
     ], ids=["SYS-A", "SYS-B"])
     def test_sweep_and_polish(self, monkeypatch, make, cells, rows):
-        levels, seen = self._count(monkeypatch)
+        seen = []
+        real = norms.sigma_Ta_torus_samples
+
+        def counted(dec, thetas):
+            seen.append(len(thetas))
+            return real(dec, thetas)
+
+        monkeypatch.setattr(norms, "sigma_Ta_torus_samples", counted)
         res = strong_norm_Ta(decompose(make()))
-        # one centre per 8 x 8 cell that holds half-grid rows (25 * 50 + 26), then
-        # one per 4 x 4 cell of the cells still open
-        assert levels == cells
+        # one centre per 16 x 16 cell that holds half-grid rows (13 * 25), then one
+        # per 8 x 8 and per 4 x 4 child of the cells still open
+        assert res.diagnostics["cells"] == cells
         # the pruned sweep, of the (400**2 + 2**2) / 2 = 80,002 rows of the half grid
         assert seen[0] == rows == res.diagnostics["grid_points"]
         # one 5-point stencil: the grid maximum is a critical point, so the ascent stops there
         assert seen[1:] == [5]
 
-    def test_pruned_three_delay_sweep(self, monkeypatch):
-        # 48,834 of the (64**3 + 2**3) / 2 = 131,076 rows of the half grid
-        levels, seen = self._count(monkeypatch)
+    def test_pruned_three_delay_sweep(self):
+        # 5,399 of the (64**3 + 2**3) / 2 = 131,076 rows of the half grid; nu = 4 and a
+        # 2 x 2 transfer take cells of 16, 8, 4 and 2 steps
         res = strong_norm_Ta(decompose(dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0))))
-        assert levels == [293, 2_185]
-        assert seen[0] == res.diagnostics["grid_points"] == 48_834
+        assert res.diagnostics["cells"] == [43, 293, 2_185, 6_377]
+        assert res.diagnostics["grid_points"] == 5_399
 
     @pytest.mark.parametrize("nu, p, seed, m, cells, rows", [
         (3, 1, 11, 1, [26], 201),
         (4, 3, 17, 3, [293], 131_076),
         (4, 3, 11, 3, [293, 2_185], 62_488),  # q <= 1 at the first level: the second closes cells
+        (3, 1, 11, 3, [43], 131_076),  # three halvings left: no cell has q <= 4
     ])
-    def test_second_level_skipped_where_no_cell_can_close(self, monkeypatch, nu, p, seed, m,
-                                                          cells, rows):
+    def test_second_level_skipped_where_no_cell_can_close(self, nu, p, seed, m, cells, rows):
         # gamma_a 0.999: no cell of the first level has a bound, and where every one
-        # has q > 1 the second level is skipped; the half grid has 201 or 131,076 rows
-        levels, _ = self._count(monkeypatch)
-        dec = decompose(_algebraic_system("near-one", nu, p, seed, m))
-        assert len(norms._sweep_rows(dec, min(400, 2 ** (18 // m)))) == rows
-        assert levels == cells
+        # has q > 2^(k-1), k halvings before the last level, the rounds stop; the half
+        # grid has 201 or 131,076 rows
+        res = strong_norm_Ta(decompose(_algebraic_system("near-one", nu, p, seed, m)))
+        assert res.diagnostics["grid_points"] == rows
+        assert res.diagnostics["cells"] == cells
+
+    @pytest.mark.parametrize("m, nu, outs, ins, widths", [
+        (1, 4, 1, 1, (8, 4)),
+        (2, 1, 1, 1, (16, 8, 4)),
+        (2, 6, 3, 3, (16, 8, 4)),
+        (3, 2, 1, 1, (8, 4)),         # nu <= 2: a row costs no more than a vertex
+        (3, 3, 1, 3, (16, 8, 4, 2)),  # a row vector
+        (3, 3, 3, 1, (16, 8, 4, 2)),  # a column
+        (3, 4, 2, 2, (16, 8, 4, 2)),
+        (3, 4, 2, 3, (8, 4)),         # the vertices take an SVD
+        (3, 4, 3, 3, (8, 4)),
+        (4, 3, 2, 2, (8, 4)),         # m >= 4: not measured to gain
+        (5, 5, 3, 2, (8, 4)),
+    ])
+    def test_schedule(self, m, nu, outs, ins, widths):
+        rng = np.random.default_rng(5)
+        A = (np.eye(nu),) + tuple(0.1 / m * rng.standard_normal((m, nu, nu)))
+        dec = decompose(DdaeSystem(E=np.zeros((nu, nu)), A=A, B=rng.standard_normal((nu, ins)),
+                                   C=rng.standard_normal((outs, nu)), tau=1.0 + np.arange(m)))
+        assert norms._sweep_widths(dec) == widths
+        # widths >= g are skipped: g = 64, 16 and 8 for m = 3, 4 and 5
+        g = min(400, 2 ** (18 // m))
+        cells = strong_norm_Ta(dec).diagnostics["cells"]
+        assert 1 <= len(cells) <= len([w for w in widths if w < g])
 
     @pytest.mark.parametrize("make, most", [
         (make_sys_a, 20),
@@ -784,7 +794,7 @@ class TestPrunedSweep:
     def _bit_for_bit(dec, g):
         """Rows swept and rows of the half grid, once the sweep matches the whole grid."""
         grid = _torus_grid(dec.m, g)
-        rows = norms._sweep_rows(dec, g)
+        rows, _ = norms._sweep_rows(dec, g)
         kept = np.isin(_grid_index(grid, g), _grid_index(rows, g))
         np.testing.assert_array_equal(rows, grid[kept])  # a subsequence of the half grid
         whole = sigma_Ta_torus_samples(dec, grid)[0][:, 0]
@@ -829,6 +839,57 @@ class TestPrunedSweep:
         bad = tuple(grid[int(np.argmax(~ok))].tolist())
         with pytest.raises(UnboundedNormError, match=re.escape(f"theta={bad};")):
             norms._torus_maximum(dec, self.g)
+
+
+class TestWeylSweep:
+    """``torus_sigma_min``, pruned by the Weyl bound, against the whole default grid."""
+
+    @staticmethod
+    def _whole(dec):
+        return _min_sigma(dec.pencil_basis, thetas=_torus_grid(dec.m, _default_diff_grid(dec.m)))
+
+    @settings(max_examples=40)
+    @given(st.one_of(_algebraic_systems(1), _algebraic_systems(2), _algebraic_systems(3)))
+    def test_bit_for_bit(self, sys):
+        dec = decompose(sys)
+        assert dec.torus_sigma_min == self._whole(dec)
+
+    @pytest.mark.parametrize("kind", ["near-one", "tied", "flat"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_peaked_tied_and_flat(self, kind, m):
+        dec = decompose(_algebraic_system(kind, 3, 2, 7, m))
+        assert dec.torus_sigma_min == self._whole(dec)
+
+    @pytest.mark.parametrize("make", [
+        make_sys_a, make_sys_b, three_delay_system,
+        # the 8-point grid of m >= 4: rounds of 4 and 2 steps
+        lambda: dense_stable_system(3, 6, m=5, tau=np.arange(1.0, 6.0)),
+    ], ids=["SYS-A", "SYS-B", "three-delay", "m=5"])
+    def test_systems(self, make):
+        dec = decompose(make())
+        assert dec.torus_sigma_min == self._whole(dec)
+
+    @pytest.mark.parametrize("make, svds", [
+        # the centres of the 8-step cells that hold half-grid rows (4 * 8 + 5), of the
+        # 4- and 2-step children of those still open, and the rows left: 126 SVDs
+        # against the 2,050 rows of the whole half grid
+        (make_sys_a, [37, 16, 28, 45]),
+        # flat to rounding: no cell could close at any width, so one round and every row
+        (lambda: _algebraic_system("flat", 4, 2, 11, 2), [37, 2_050]),
+    ], ids=["SYS-A", "flat"])
+    def test_svd_count(self, monkeypatch, make, svds):
+        seen = []
+        real = system_model._pencil_map
+
+        def counted(fn, S, **samples):
+            seen.append(len(samples["thetas"]))
+            return real(fn, S, **samples)
+
+        monkeypatch.setattr(system_model, "_pencil_map", counted)
+        dec = decompose(make())
+        smin = dec.torus_sigma_min
+        assert seen == svds
+        assert smin == self._whole(dec)
 
 
 def _full_torus_grid(m, g):

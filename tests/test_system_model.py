@@ -205,6 +205,22 @@ class TestDifferenceStability:
                          C=np.eye(2), tau=[])
         assert check_difference_stability(decompose(sys)) == 0.0
 
+    @pytest.mark.parametrize("grid_per_dim", [None, 16])
+    def test_no_delays_checks_assumption1(self, grid_per_dim):
+        # m = 0: 0 once Assumption 1 holds, refused where it fails, as gamma_a is;
+        # validate_system checks Assumption 1 first, so its reports do not change
+        ill, well = (DdaeSystem(E=[[0.0]], A=([[a0]],), B=[[1.0]], C=[[1.0]], tau=[])
+                     for a0 in (0.0, 2.0))
+        with pytest.raises(AssumptionError, match=re.escape("A22[0] is singular")):
+            check_difference_stability(decompose(ill), grid_per_dim=grid_per_dim)
+        with pytest.raises(AssumptionError):
+            decompose(ill).gamma_a
+        assert check_difference_stability(decompose(well), grid_per_dim=grid_per_dim) == 0.0
+        report = validate_system(ill, grid_per_dim=grid_per_dim)
+        assert not report.assumption1_ok and math.isnan(report.difference_stability_margin)
+        report = validate_system(well, grid_per_dim=grid_per_dim)
+        assert report.ok and report.difference_stability_margin == 0.0
+
     def test_requires_assumption1(self):
         sys = DdaeSystem(E=np.zeros((1, 1)), A=([[0.0]], [[0.5]]), B=[[1.0]],
                          C=[[1.0]], tau=[1.0])
@@ -447,6 +463,7 @@ class TestImaginaryAxisMargin:
     @pytest.mark.parametrize("omega_max, count, name", [
         (20.0, 0, "count"),
         (20.0, -3, "count"),
+        *[(20.0, c, "count must be an integer") for c in (2.5, math.nan, "16", 16.0)],
         (math.nan, 201, "omega_max"),
         (math.inf, 201, "omega_max"),
         (-5.0, 201, "omega_max"),
