@@ -611,8 +611,13 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     ``s``), and the supremum is the polished maximum over one period.  It is
     ``None``, and no sample is taken, without a period or when one period
     needs more than ``max_points`` samples: the strong norm of T_a bounds it.
-    The sweep's size counts its samples, not those of the polish (one sample
-    without delays, none when nothing is sampled).
+    Of the period's ``npts`` samples ``k * h`` only the first ``npts // 2 + 1``
+    are taken: ``T_a(-jw)`` is the conjugate of ``T_a(jw)``, so samples ``k``
+    and ``npts - k`` are mirror images (exactly for one delay, within
+    ``COMMENSURATE_REL_TOL`` otherwise, as the period itself).  The sweep
+    passes ``h`` to the sampler as its ``step``.  The sweep's size counts its
+    samples, not those of the polish (one sample without delays, none when
+    nothing is sampled).
     """
     if dec.nu == 0:
         return None, None, 0.0, 0
@@ -631,8 +636,8 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     npts = max(int(period / step) + 1, 512)
     if npts > max_points:
         return s, period, None, 0
-    omegas = np.linspace(0.0, period, npts, endpoint=False)
-    sig, ok = sigma_Ta_samples(dec, omegas, tau)
+    omegas = np.linspace(0.0, period, npts, endpoint=False)[:npts // 2 + 1]
+    sig, ok = sigma_Ta_samples(dec, omegas, tau, step=omegas[1])
     if not ok.all():
         bad = omegas[~ok][0]
         raise UnboundedNormError(
@@ -641,7 +646,7 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     i = int(np.argmax(sig[:, 0]))
     [_], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
                                     sig[i:i + 1, 0], omegas[1])
-    return s, period, float(v), npts
+    return s, period, float(v), len(omegas)
 
 
 def _frequency_ascent(sample, system, tau, omegas, values, h):
@@ -668,16 +673,17 @@ def _local_max_indices(values: np.ndarray) -> np.ndarray:
 def _scan(scan, cap, step, lobe, omega_low, period, max_points):
     """Scan ``sigma_1`` on the grid ``k * step`` only as far as the tail certificate needs.
 
-    ``scan`` evaluates grid points; ``cap`` maps a grid maximum, a lower bound
-    of the supremum, to a valid certified cap (``inf`` if none).  The floors
-    are ``omega_low``, 20 lobes and two periods of ``T_a`` (1,000 lobes for
-    incommensurate delays), cut to ``max_points``.  The grid grows in
-    segments, each continuing the one before: first to the nearer of 20 lobes
-    (``omega_low`` without delays) and the floors, where a cap within the
-    floors certifies the tail once the scan reaches it; otherwise to the
-    floors, where a cap within ``max_points`` does.  Returns the grid, its
-    ``sigma_1``, the scan's extent, the cap (``None`` for an uncertified
-    tail) and whether ``max_points`` cut that tail's scan.
+    ``scan`` evaluates grid points (``np.arange(0, upto, step)`` is exactly
+    ``k * step``, so it may pass ``step`` to a sampler); ``cap`` maps a grid
+    maximum, a lower bound of the supremum, to a valid certified cap (``inf``
+    if none).  The floors are ``omega_low``, 20 lobes and two periods of
+    ``T_a`` (1,000 lobes for incommensurate delays), cut to ``max_points``.
+    The grid grows in segments, each continuing the one before: first to the
+    nearer of 20 lobes (``omega_low`` without delays) and the floors, where a
+    cap within the floors certifies the tail once the scan reaches it;
+    otherwise to the floors, where a cap within ``max_points`` does.  Returns
+    the grid, its ``sigma_1``, the scan's extent, the cap (``None`` for an
+    uncertified tail) and whether ``max_points`` cut that tail's scan.
     """
     floors = omega_low
     if lobe:
@@ -731,8 +737,10 @@ def hinf_norm_T(
     the diagnostics.  ``T_a``'s part of the tail is bounded by its supremum
     over one period (``diagnostics["ta_tail_sup"]``, see :func:`_tail_sup_Ta`)
     or, when that is ``None``, by its strong norm;
-    ``diagnostics["ta_tail_points"]`` counts the samples of that period's
-    sweep, beside the scan's ``diagnostics["scan_points"]``.
+    ``diagnostics["ta_tail_points"]`` counts the samples of that sweep, which
+    covers half the period, beside the scan's ``diagnostics["scan_points"]``.
+    The scan and that sweep sample uniform grids, whose phases come from
+    short tables (the samplers' ``step``).
     ``diagnostics["iterations"]`` counts the ascent's sampler calls,
     ``diagnostics["kernel"]`` names the evaluator of ``T`` and
     ``diagnostics["delay_rank"]`` the rank of its delay channels (see
@@ -780,7 +788,7 @@ def hinf_norm_T(
         return _omega_cap(params, gamma_cap) if gamma_cap > 0.0 else math.inf
 
     def scan(grid):
-        sig, ok = sigma_T_samples(sys, grid, tau)
+        sig, ok = sigma_T_samples(sys, grid, tau, step=step)
         if not ok.all():
             w_bad = float(grid[~ok][0])
             raise InstabilityError(

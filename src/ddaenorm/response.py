@@ -25,7 +25,11 @@ chunk (a lone sample padded to two rows), where a stacked product would make
 one BLAS call per sample: 6-18 ns against 46-82 ns a sample.  Larger pencils
 keep the stacked product.  Either way a sample gets the same bits whether it
 is evaluated alone, in a search step or in any chunk, so the pencils do not
-depend on where the chunks split.
+depend on where the chunks split.  On a uniform grid ``w = k h`` (the plain
+norm's scan and its ``T_a`` tail sweep) the samplers take ``step=h``, and the
+phases come from two short tables per delay instead of one ``cos`` and
+``sin`` per sample (:func:`ddaenorm.system_model._grid_phases`); a grid
+sample's pencil then also does not depend on the samples beside it.
 
 No sample needs an SVD of the pencil.  Pencils with ``n <= 2`` (the paper's
 examples and their algebraic blocks) need no LAPACK call either: Cramer's
@@ -87,8 +91,8 @@ import numpy as np
 
 from .errors import DimensionError, EvaluationError
 from .fileio import _write_csv, _write_json
-from .system_model import (_GAIN_MAX, BlockDecomposition, DdaeSystem, _chunks, _pencil_map,
-                           _pencil_stack, _probe, _resolve_tau, decompose)
+from .system_model import (_GAIN_MAX, BlockDecomposition, DdaeSystem, _check_delays, _chunks,
+                           _pencil_map, _pencil_stack, _probe, _resolve_tau, decompose)
 
 __all__ = [
     "FrequencyGrid",
@@ -285,7 +289,7 @@ def _cramer(M, B, C):
     return (VW / det[:, None]).reshape(len(V), C.shape[0], B.shape[1]), ok, rcond
 
 
-def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
+def _low_rank_transfer(sys: DdaeSystem, omegas, tau, step=None):
     """:func:`_transfer` of ``T`` at ``omegas`` through the low-rank delay channels.
 
     With ``ch = sys.delay_channels``, ``M = P(j w) - U D V^T`` and
@@ -306,7 +310,8 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     ``T``.  So ``kappa`` is at most the condition number of ``M``, and every
     sample near a characteristic root goes to the dense kernel, on one stack
     of those samples.  Each choice depends on the sample alone, so a sample
-    gives the same bits alone and in any chunk.
+    gives the same bits alone and in any chunk.  ``step`` is passed on to the
+    phases of ``D`` and of the hand-off (see :func:`_T_map`).
     """
     ch, B, C = sys.delay_channels, sys.B, sys.C
     N, n, r, p = len(omegas), sys.n, ch.rank, B.shape[1]
@@ -318,7 +323,7 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     low = np.flatnonzero(~dense)
     if low.size:
         G = (ch.L * d[low, None, :]) @ ch.R  # [C; V^T] P^{-1} [B, r, U]
-        D = _pencil_stack(ch.D, r, omegas[low], tau)
+        D = _pencil_stack(ch.D, r, omegas[low], tau, step=step)
         cap = np.eye(r) - G[:, q:, p + 1:] @ D
         try:
             Y = np.linalg.solve(cap, G[:, q:, :p + 1])  # V^T M^{-1} [B, r]
@@ -341,7 +346,7 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau):
     where = np.flatnonzero(dense)
     ok, rcond = np.ones(N, dtype=bool), np.ones(N)
     for T_d, ok_d, rcond_d in _transfer_map(lambda *t: t, sys.pencil_basis, B, C, p + 1,
-                                            omegas=omegas[where], tau=tau):
+                                            omegas=omegas[where], tau=tau, step=step):
         at, where = where[:len(ok_d)], where[len(ok_d):]
         T[at[ok_d]], ok[at] = T_d, ok_d
         if rcond_d is not None:
@@ -354,20 +359,23 @@ def _transfer_map(fn, S, B, C, rhs=0, **samples) -> list:
     return _pencil_map(lambda M: fn(*_transfer(M, B, C)), S, rhs=rhs, **samples)
 
 
-def _T_map(fn, sys: DdaeSystem, omegas, tau, rhs=0) -> list:
+def _T_map(fn, sys: DdaeSystem, omegas, tau, rhs=0, step=None) -> list:
     """:func:`_transfer_map` for ``T`` at ``omegas``, by the kernel ``sys.delay_channels`` names.
 
     The low-rank kernel's chunks are sized by its own per-sample stacks, the
     ``(p_out + r) x n`` factors ``L diag(d)`` and the ``n`` entries of ``d``,
     with the projections; its dense hand-off takes the chunks of
-    :func:`_pencil_map`.
+    :func:`_pencil_map`.  A ``step`` is passed on to both kernels' phases
+    (see :func:`ddaenorm.system_model._grid_phases`).
     """
     ch = sys.delay_channels
     if ch.kernel != "low-rank":
-        return _transfer_map(fn, sys.pencil_basis, sys.B, sys.C, rhs, omegas=omegas, tau=tau)
+        return _transfer_map(fn, sys.pencil_basis, sys.B, sys.C, rhs, omegas=omegas, tau=tau,
+                             step=step)
     rows = sys.p_out + ch.rank
     entries = (rows + 1) * sys.n + rows * (sys.p_in + ch.rank + 1)
-    return [fn(*_low_rank_transfer(sys, omegas[sl], tau)) for sl in _chunks(len(omegas), entries)]
+    return [fn(*_low_rank_transfer(sys, omegas[sl], tau, step=step))
+            for sl in _chunks(len(omegas), entries)]
 
 
 def _sigma_2x2(T) -> np.ndarray:
@@ -484,26 +492,39 @@ def eval_Ta_torus(dec: BlockDecomposition, theta) -> np.ndarray:
     return _evaluate(parts, tuple(theta.tolist()), "torus matrix")
 
 
-def sigma_T_samples(sys: DdaeSystem, omegas, tau=None):
+def sigma_T_samples(sys: DdaeSystem, omegas, tau=None, *, step=None):
     """Singular values of ``T(j w)`` on a frequency grid.
 
     Returns ``(sigmas, ok)`` where ``sigmas`` has one descending row of
     singular values per frequency and ``ok`` flags samples where the
     characteristic matrix was safely invertible; failed rows are NaN.
+
+    ``step`` promises that every frequency is ``k * step`` for an integer
+    ``k``, exactly: the phases ``e^{-j w tau_i}`` then come from short
+    tables per delay, not from one ``cos`` and ``sin`` per sample and delay,
+    and agree with those within a few ``eps (1 + |w tau_i|)``.  A frequency
+    off that grid raises ``ValueError``.
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
     omegas = np.asarray(omegas, dtype=float)
-    return _joined(_T_map(_sigma_chunk, sys, omegas, tau, rhs=sys.p_in + 1))
+    return _joined(_T_map(_sigma_chunk, sys, omegas, tau, rhs=sys.p_in + 1,
+                          step=_resolve_step(step)))
 
 
-def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau):
+def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau, *, step=None):
     """Singular values of ``T_a(j w)`` on a frequency grid (NaN where singular).
 
-    This is the torus function at ``theta = w * tau``.
+    This is the torus function at ``theta = w * tau``.  ``step`` is the
+    promise of :func:`sigma_T_samples`.
     """
     tau = _resolve_tau(tau, dec.m)
     return _sample(dec.pencil_basis, dec.B2, dec.C2, omegas=np.asarray(omegas, dtype=float),
-                   tau=tau)
+                   tau=tau, step=_resolve_step(step))
+
+
+def _resolve_step(step):
+    """A sampler's ``step``: None, or a finite, strictly positive float."""
+    return None if step is None else float(_check_delays(step, "step"))
 
 
 def sigma_Ta_torus_samples(dec: BlockDecomposition, thetas):

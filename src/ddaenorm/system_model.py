@@ -53,6 +53,9 @@ _GAIN_MAX = 1e3
 # :func:`_weyl_bounds`): the multiple of ``(n + m) eps`` that covers the rounding
 # of a computed sample.
 _ROUNDING_SLACK = 64.0
+# Grid phases (see :func:`_grid_phases`): ``k = q B + r`` with ``B = 2**_PHASE_BITS``,
+# the residues ``r`` whose cos and sin one table holds.
+_PHASE_BITS = 8
 
 
 def _as_real(x, name) -> np.ndarray:
@@ -370,12 +373,15 @@ class BlockDecomposition:
     def torus_sigma_min(self) -> float:
         """``min_theta sigma_min(-A22[0] - sum_{i>=1} A22[i] e^{-j theta_i})`` on
         the whole default grid, whose slice :attr:`gamma_a` takes
-        (``sigma_min(A22[0])`` for m = 0).
+        (``sigma_min(A22[0])`` for m = 0, and ``inf`` without an algebraic part,
+        as :func:`check_assumption1` reports).
 
         Cell rounds of 8, 4 and 2 grid steps (:func:`_cell_rounds`, widths
         ``>= g`` skipped) with the Weyl bound of :func:`_weyl_bounds` skip the
         cells whose rows all compute above a value the rounds have seen, so the
         SVDs of the rows left give the whole grid's minimum, bit for bit."""
+        if self.nu == 0:
+            return math.inf
         if self.m == 0:
             return _sigma_min(self.A22[0])
         rows, _ = _cell_rounds(self.m, _default_diff_grid(self.m), (8, 4, 2), _weyl_bounds(self))
@@ -625,28 +631,30 @@ def _check_delays(tau, name="tau", *, zero=False) -> np.ndarray:
     return tau
 
 
-def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0) -> list:
+def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0, step=None) -> list:
     """Apply ``fn`` to pencil stacks over consecutive chunks of the samples.
 
     ``S`` is the map of :func:`_pencil_basis`, built once per system.  Sample
     ``k`` is ``lam_k E - A[0] - sum_{i>=1} A[i] e^{-j theta_k[i-1]}`` with
     ``theta_k = omegas[k] * tau`` on the frequency axis, else ``thetas[k]`` on
     the torus; ``lam_k = 1j*omegas[k]``, and a map built without ``E`` drops
-    the term (the torus matrix of the algebraic block).  Each chunk's stack,
+    the term (the torus matrix of the algebraic block).  A ``step`` promises
+    that every ``omegas[k]`` is an integer multiple of it, and the phases then
+    come from the tables of :func:`_grid_phases`.  Each chunk's stack,
     together with the ``rhs`` solution columns per sample that ``fn``
     allocates, holds at most ``_STACK_BYTES`` (and at least one sample), so
     memory stays bounded however long the grid.  Every chunk, a lone sample
     included, is one product of a ``(K, N)`` coefficient block with ``S``:
     one 2-D GEMM for ``n <= 2`` (a lone sample padded to two rows), a
-    stacked product otherwise (see :func:`_pencil_stack`); either way a
-    sample's pencil does not depend on where the chunks split.  Returns the
-    ``fn`` results in sample order.
+    stacked product otherwise (see :func:`_pencil_stack`); either way, and
+    with or without ``step``, a sample's pencil does not depend on where the
+    chunks split.  Returns the ``fn`` results in sample order.
     """
     n = math.isqrt(S.shape[1] // 2)
     chunks = _chunks(len(thetas) if omegas is None else len(omegas), n * (n + rhs))
     if omegas is None:
         return [fn(_pencil_stack(S, n, thetas=thetas[sl])) for sl in chunks]
-    return [fn(_pencil_stack(S, n, omegas[sl], tau)) for sl in chunks]
+    return [fn(_pencil_stack(S, n, omegas[sl], tau, step=step)) for sl in chunks]
 
 
 def _chunks(count, entries):
@@ -681,12 +689,13 @@ def _pencil_basis(A, E=None) -> np.ndarray:
     return S
 
 
-def _pencil_stack(S, n, omegas=None, tau=None, thetas=None) -> np.ndarray:
+def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.ndarray:
     """One chunk of :func:`_pencil_map`: the coefficient block times the map ``S``.
 
     The block is ``(K, N)``, one contiguous row per coefficient: the phases
     ``tau_i * omegas`` (or ``thetas``) go straight into rows ``1..m``, their
-    ``sin`` into the last ``m`` rows, then their ``cos`` in place; the
+    ``sin`` into the last ``m`` rows, then their ``cos`` in place; with a
+    ``step``, :func:`_grid_phases` writes both from its tables instead.  The
     ``omegas`` row is there only when ``S`` has one for ``E``.  The product
     is written straight into the float64 view of the complex stack, with no
     stack-sized temporary.  For ``n <= 2`` it is one 2-D product ``X^T S``,
@@ -702,6 +711,16 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None) -> np.ndarray:
         2     46-82 ns          12-18 ns
         8     230-259 ns        272-303 ns
         10    303-352 ns        457-492 ns
+
+    With the product that small, the phases were most of a chunk at
+    ``n <= 2``.  The whole stack per sample of a 65,536-sample run of SYS-A's
+    scan grid at delays (0.999, 2), whose ``cos`` and ``sin`` come from libm
+    or, with ``step``, from the tables of :func:`_grid_phases` (medians of 45
+    calls in six processes per side, one BLAS thread):
+
+        n     libm          tables
+        1     35-37 ns      17-19 ns
+        2     43-45 ns      24-26 ns
     """
     K = len(S)
     m = (K - 1) // 2
@@ -709,15 +728,18 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None) -> np.ndarray:
     X = np.empty((K, N))
     X[0] = 1.0
     phase = X[1:m + 1]
-    if omegas is None:
-        phase[...] = thetas.T
+    if omegas is not None and K > 2 * m + 1:
+        X[m + 1] = omegas
+    if step is not None:
+        _grid_phases(tau, step, omegas, phase, X[K - m:])
     else:
-        np.multiply.outer(tau, omegas, out=phase)
-        if K > 2 * m + 1:
-            X[m + 1] = omegas
-    with np.errstate(invalid="ignore"):  # a non-finite phase gives NaN, flagged downstream
-        np.sin(phase, out=X[K - m:])
-        np.cos(phase, out=phase)
+        if omegas is None:
+            phase[...] = thetas.T
+        else:
+            np.multiply.outer(tau, omegas, out=phase)
+        with np.errstate(invalid="ignore"):  # a non-finite phase gives NaN, flagged downstream
+            np.sin(phase, out=X[K - m:])
+            np.cos(phase, out=phase)
     M = np.empty((N, n, n), dtype=complex)
     V = M.reshape(N, n * n).view(np.float64)
     if n > 2:
@@ -727,6 +749,66 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None) -> np.ndarray:
     else:  # a one-row product would take another BLAS routine: pad it to two rows
         V[:] = np.matmul(np.concatenate([X.T, X.T]), S)[:1]
     return M
+
+
+def _grid_phases(tau, h, omegas, c, s):
+    """``cos`` and ``sin`` of the phases ``tau_i * omegas`` into ``c`` and ``s``,
+    both ``(m, N)``, where every ``omegas[k]`` is an integer multiple of ``h``.
+
+    With ``B = 2**_PHASE_BITS = 256``, sample ``w = (q B + r) h`` takes the cos and
+    sin of ``a = tau_i (h (q B))`` and ``b = tau_i (h r)`` from two tables and
+    adds the angles: ``cos(a + b) = cos a cos b - sin a sin b`` and ``sin(a +
+    b) = sin a cos b + cos a sin b``.  So one chunk makes about ``2 m (N / B
+    + B)`` libm calls, not ``2 m N``.  A contiguous run of the grid, a lone
+    sample included, takes outer products of the tables over whole blocks;
+    any other set of samples (a subset, say) gathers from tables of the
+    ``q`` and ``r`` it holds.  Both do the same multiplies and the same
+    addition, and a table entry depends only on ``(tau_i, h, q)`` or ``(tau_i,
+    h, r)``, so a sample's phases depend only on ``(tau, h, k)``: the same
+    bits alone, in any chunk and in any subset.  Each side of the addition
+    is within a few ulps of its angle, so the phases agree with ``cos`` and
+    ``sin`` of ``tau_i * omegas`` within a few ``eps (1 + |tau_i w|)``: both
+    round the phase itself by about ``|tau_i w| eps``.  Raises ``ValueError``
+    when a sample is not an exact multiple ``k h`` with ``|k| <= 2^52``
+    (without delays there is nothing to compute or check).
+    """
+    B, N, m = 1 << _PHASE_BITS, len(omegas), len(tau)
+    if not (N and m):
+        return
+    k0 = float(omegas[0]) / h
+    k0 = round(k0) if abs(k0) <= 2.0 ** 52 - N else None
+    if k0 is not None and (np.arange(k0, k0 + N) * h == omegas).all():
+        q0, lo = divmod(k0, B)
+        nq = (lo + N - 1) // B + 1
+        ks = np.concatenate([np.arange(q0 * B, (q0 + nq) * B, B), np.arange(B)])
+    else:
+        k = np.rint(omegas / h)
+        if not ((k * h == omegas) & (np.abs(k) <= 2.0 ** 52)).all():
+            raise ValueError("step: every frequency must be an integer multiple of it")
+        k = k.astype(np.int64)
+        q, r = k >> _PHASE_BITS, k & (B - 1)
+        if q.max() - q.min() < 2 * N:  # the blocks from the first sample's to the last's
+            qs = np.arange(q.min(), q.max() + 1)
+            q -= qs[0]
+        else:
+            qs, q = np.unique(q, return_inverse=True)
+        rs = np.arange(r.min(), r.max() + 1)
+        r -= rs[0]
+        nq, lo, ks = len(qs), None, np.concatenate([B * qs, rs])
+    angles = np.multiply.outer(tau, h * ks)
+    cs = np.empty((2, m, len(ks)))  # [cos; sin] of the q angles, then of the r angles
+    np.cos(angles, out=cs[0])
+    np.sin(angles, out=cs[1])
+    a, b = cs[..., :nq], cs[..., nq:]
+    if lo is None:  # the gathers
+        a, b, lo = a.take(q, axis=2), b.take(r, axis=2), 0
+    else:  # whole blocks, then the run within them
+        a, b = a[..., None], b[..., None, :]
+    t = a * b  # [cos a cos b, sin a sin b]
+    run = t.reshape(2, m, -1)[..., lo:lo + N]
+    np.subtract(run[0], run[1], out=c)
+    np.multiply(a, b[::-1], out=t)  # [cos a sin b, sin a cos b]
+    np.add(run[1], run[0], out=s)
 
 
 def _min_sigma(S, **samples) -> float:

@@ -762,6 +762,73 @@ class TestOneProductPerChunk:
             assert calls == [2 if n <= 2 else 3]
 
 
+class TestGridPhases:
+    """Phases of a uniform grid ``omegas = k h`` from two short tables per delay."""
+
+    B = 256  # 2**system_model._PHASE_BITS
+
+    @settings(max_examples=150)
+    @given(tau=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+           h=st.floats(1e-4, 1.0), q=st.integers(0, 2_000_000 // 256),
+           r=st.integers(0, 255), count=st.integers(1, 3 * 256),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_within_a_few_eps_of_libm(self, tau, h, q, r, count, seed):
+        # runs from any residue, across block boundaries, and random subsets of them
+        from ddaenorm.system_model import _grid_phases
+        tau = np.array(tau)
+        k = np.arange(q * self.B + r, q * self.B + r + count)
+        pick = np.flatnonzero(np.random.default_rng(seed).random(count) < 0.5)
+        for ks in (k, k[pick]):
+            omegas = ks * h
+            c, s = np.empty((2, tau.size, ks.size))
+            _grid_phases(tau, h, omegas, c, s)
+            phase = np.multiply.outer(tau, omegas)  # tau_i * (k * h)
+            tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(phase))
+            assert (np.abs(c - np.cos(phase)) <= tol).all()
+            assert (np.abs(s - np.sin(phase)) <= tol).all()
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_sample_ignores_its_company(self, n, m, monkeypatch):
+        # the same bits alone, in a gathered subset and in any chunk split
+        from ddaenorm import system_model
+        rng = np.random.default_rng(40 + 10 * n + m)
+        A = tuple(rng.standard_normal((n, n)) for _ in range(m + 1))
+        E, tau, h = rng.standard_normal((n, n)), rng.uniform(0.5, 3.0, m), 0.0321
+        for samples in ({"E": E}, {}):
+            omegas = np.arange(1000, 1700) * h
+            whole = pencil_stacks(A, omegas=omegas, tau=tau, step=h, **samples)
+            pick = np.sort(rng.choice(omegas.size, 50, replace=False))
+            np.testing.assert_array_equal(
+                pencil_stacks(A, omegas=omegas[pick], tau=tau, step=h, **samples), whole[pick])
+            for j in pick[:4]:
+                np.testing.assert_array_equal(
+                    pencil_stacks(A, omegas=omegas[j:j + 1], tau=tau, step=h, **samples),
+                    whole[j:j + 1])
+            for chunk in (1, 300):  # lone samples, and runs across blocks
+                monkeypatch.setattr(system_model, "_STACK_BYTES", 16 * n * n * chunk)
+                np.testing.assert_array_equal(
+                    pencil_stacks(A, omegas=omegas, tau=tau, step=h, **samples), whole)
+            monkeypatch.undo()
+
+    def test_samplers_take_the_grid_step(self):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
+        sys = make_sys_a((0.999, 2.0))
+        dec = decompose(sys)
+        h = 2.0 * np.pi / 2.999 / 64.0
+        omegas = np.arange(3000) * h
+        for sample, system in ((sigma_T_samples, sys), (sigma_Ta_samples, dec)):
+            sig, ok = sample(system, omegas, sys.tau, step=h)
+            want, ok_want = sample(system, omegas, sys.tau)
+            np.testing.assert_array_equal(ok, ok_want)
+            np.testing.assert_allclose(sig, want, rtol=1e-12)
+            with pytest.raises(ValueError, match="integer multiple"):
+                sample(system, omegas + 0.5 * h, sys.tau, step=h)
+            for bad in (0.0, -h, np.nan, np.inf):
+                with pytest.raises(ValueError, match="step must be finite"):
+                    sample(system, omegas, sys.tau, step=bad)
+
+
 def low_rank_system(seed, n, r, m=2, p=2):
     """Random stable system with ``n`` states, ``r`` delay channels and an ``E``
     of rank ``n - k``, ``k`` up to ``n / 2``."""
@@ -909,9 +976,9 @@ class TestLowRankKernel:
         chunks, stacks = [], []
         low_rank, solve = response._low_rank_transfer, np.linalg.solve
 
-        def chunk(system, w, tau):
+        def chunk(system, w, tau, **kwargs):
             chunks.append(len(w))
-            return low_rank(system, w, tau)
+            return low_rank(system, w, tau, **kwargs)
 
         def counted(a, *args, **kwargs):
             if np.ndim(a) == 3 and np.shape(a)[-1] == sys.n:
