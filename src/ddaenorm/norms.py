@@ -74,6 +74,8 @@ MAX_SCAN_POINTS = 2_000_000
 # Commensurate-delay detection: smallest common denominator up to this cap.
 COMMENSURATE_S_CAP = 20000
 COMMENSURATE_REL_TOL = 1e-9
+# Candidates of the first block of that search; each later block doubles.
+_S_BLOCK = 64
 
 # Step below which the strong-norm polish of a torus maximum stops.
 _REFINE_TOL = 1e-8
@@ -623,10 +625,7 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
         return None, None, 0.0, 0
     if dec.m == 0:
         return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0]), 1
-    prods = tau[:, None] * np.arange(1, COMMENSURATE_S_CAP + 1)
-    near = np.abs(prods - np.round(prods)) <= COMMENSURATE_REL_TOL * np.maximum(1.0, prods)
-    hits = np.nonzero(near.all(axis=0))[0]
-    s = int(hits[0]) + 1 if hits.size else None
+    s = _common_denominator(tau)
     if dec.m == 1:
         period = 2.0 * math.pi / float(tau[0])
     elif s is not None:
@@ -647,6 +646,26 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     [_], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
                                     sig[i:i + 1, 0], omegas[1])
     return s, period, float(v), len(omegas)
+
+
+def _common_denominator(tau) -> int | None:
+    """The smallest integer ``s`` up to ``COMMENSURATE_S_CAP`` with every ``tau_i s``
+    within ``COMMENSURATE_REL_TOL`` (relative) of an integer, or ``None``.
+
+    The candidates are tested in blocks of ``_S_BLOCK``, ``2 _S_BLOCK``, ...
+    of them, stopping at the first block with a hit, so a small ``s`` costs a
+    small table.  Each candidate's test is elementwise, the same in any block.
+    """
+    lo, width = 1, _S_BLOCK
+    while lo <= COMMENSURATE_S_CAP:
+        hi = min(lo + width, COMMENSURATE_S_CAP + 1)
+        prods = tau[:, None] * np.arange(lo, hi)
+        near = np.abs(prods - np.round(prods)) <= COMMENSURATE_REL_TOL * np.maximum(1.0, prods)
+        hits = np.flatnonzero(near.all(axis=0))
+        if hits.size:
+            return lo + int(hits[0])
+        lo, width = hi, 2 * width
+    return None
 
 
 def _frequency_ascent(sample, system, tau, omegas, values, h):

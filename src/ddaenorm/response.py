@@ -14,7 +14,9 @@ algebraic block, whose value at ``theta = w tau`` gives ``T_a(j w)``.
 ``_transfer`` is the one singularity test and solve; samplers flag singular
 samples and samples with a non-finite entry, the ``eval_*`` functions raise.
 Grids are evaluated in chunks whose pencil stack fits ``_STACK_BYTES``, so
-memory stays bounded for any grid length and system size.  Each chunk is one
+memory stays bounded for any grid length and system size, and which hold at
+most ``_CHUNK_SAMPLES`` samples, so the long grids of small pencils run near
+the cache instead of streaming 8 MiB stacks.  Each chunk is one
 product: a real ``(K, N)`` block of coefficients ``[1, cos theta_i, w, sin
 theta_i]``, one contiguous row each, times a real map of the coefficients,
 written straight into the float64 view of the complex stack, with no
@@ -37,9 +39,9 @@ rule gives ``T = C adj(M) B / det M``, where ``C adj(M) B`` is one product of
 the flattened stack with a cached map, and the exact test
 ``sigma_min(M) > RCOND_MIN * sigma_max(M)`` follows from
 ``sigma_1^2 + sigma_2^2 = ||M||_F^2`` and ``sigma_1 sigma_2 = |det M|``, with
-a small one-sided slack for roundoff.  A chunk with a sample whose squared
-norm could over- or underflow takes the SVD instead.  For ``n >= 3`` the
-singularity test is read off the solve: the one solve against ``[B | r]``,
+a small one-sided slack for roundoff.  A sample whose squared norm could
+over- or underflow takes the SVD instead.  For ``n >= 3`` the singularity
+test is read off the solve: the one solve against ``[B | r]``,
 with ``r`` a fixed probe vector, also gives a lower bound of the condition
 number, from the row norms of ``M`` and the norm of ``M^{-1} r``.  It is
 one-sided: every flagged sample also fails the exact test, while a sample
@@ -116,7 +118,7 @@ RCOND_MIN = 1e-14
 # test passes.
 _CRAMER_RCOND = 0.75 * RCOND_MIN
 # Squared Frobenius norms for which no product of two entries of a 2x2 sample
-# over- or underflows; a chunk with a sample outside takes the SVD.
+# over- or underflows; a sample outside takes the SVD.
 _CRAMER_RANGE = (1e-290, 1e290)
 # The low-rank kernel of T hands a sample to the dense kernel when its lower
 # bound of the condition number reaches 1 / _HANDOFF_RCOND, 1e4 below the
@@ -261,17 +263,20 @@ def _cramer(M, B, C):
     ratio ``r = sigma_2 / sigma_1`` solves ``|det M| / F = r / (1 + r^2)``, and
     ``|det M| <= _CRAMER_RCOND * F`` flags the samples with
     ``r <= _CRAMER_RCOND`` (``r^2`` is below roundoff there).  A 1x1 sample has
-    ``r = 1``.  A chunk with a sample whose ``F`` lies outside ``_CRAMER_RANGE``
-    (a product of two entries could over- or underflow) is decided and solved
-    by :func:`_exact_transfer` instead, as a chunk with an exactly zero pivot is
-    for ``n >= 3``.
+    ``r = 1``.  A sample whose ``F`` lies outside ``_CRAMER_RANGE`` (a product
+    of two entries could over- or underflow) is decided and solved by
+    :func:`_exact_transfer` instead; the others of its chunk keep Cramer's
+    rule, so a sample gets the same bits alone and in any chunk.
     """
     N, n, _ = M.shape
     V = M.reshape(N, n * n)
     F = np.einsum("ki,ki->k", V.view(np.float64), V.view(np.float64))
     lo, hi = _CRAMER_RANGE
     if not (F.min(initial=lo) >= lo and F.max(initial=hi) <= hi):  # also NaN
-        return _exact_transfer(M, B, C)
+        wild = ~((F >= lo) & (F <= hi))
+        parts = [(np.flatnonzero(w), solve(M[w], B, C))
+                 for w, solve in ((wild, _exact_transfer), (~wild, _cramer))]
+        return _scatter(np.empty((N, C.shape[0], B.shape[1]), dtype=complex), parts)
     W = _adjugate_map(B.shape, np.asarray(B, dtype=np.float64).tobytes(),
                       C.shape, np.asarray(C, dtype=np.float64).tobytes())
     if n == 1:
@@ -343,14 +348,23 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau, step=None):
         T[low[keep]] = (G[:, :q, :p] + G[:, :q, p + 1:] @ (D @ Y[..., :p]))[keep]
     if not dense.any():
         return T, np.ones(N, dtype=bool), None
-    where = np.flatnonzero(dense)
-    ok, rcond = np.ones(N, dtype=bool), np.ones(N)
-    for T_d, ok_d, rcond_d in _transfer_map(lambda *t: t, sys.pencil_basis, B, C, p + 1,
-                                            omegas=omegas[where], tau=tau, step=step):
-        at, where = where[:len(ok_d)], where[len(ok_d):]
-        T[at[ok_d]], ok[at] = T_d, ok_d
-        if rcond_d is not None:
-            rcond[at] = rcond_d
+    where, parts = np.flatnonzero(dense), []
+    for part in _transfer_map(lambda *t: t, sys.pencil_basis, B, C, p + 1,
+                              omegas=omegas[where], tau=tau, step=step):
+        at, where = where[:len(part[1])], where[len(part[1]):]
+        parts.append((at, part))
+    return _scatter(T, parts)
+
+
+def _scatter(T, parts):
+    """One :func:`_transfer` result from the results ``(at, (T_at, ok_at, rcond_at))``
+    of the samples ``at``, in sample order.  ``T`` is the whole stack; a sample
+    in no part passes, with its transfer already in ``T``."""
+    ok, rcond = np.ones(len(T), dtype=bool), np.ones(len(T))
+    for at, (T_at, ok_at, rcond_at) in parts:
+        T[at[ok_at]], ok[at] = T_at, ok_at
+        if rcond_at is not None:
+            rcond[at] = rcond_at
     return (T, ok, None) if ok.all() else (T[ok], ok, rcond)
 
 

@@ -40,9 +40,15 @@ DEFAULT_RANK_TOL = 1e-10
 # Absolute floor on sigma_min(A22[0]) for Assumption 1.
 DEFAULT_ASSUMPTION_TOL = 1e-10
 # Byte budget of one complex pencil stack and its solution columns (131,072
-# samples of a bare 2x2 pencil); on 2x2 to 40x40 pencils larger budgets ran no
-# faster and took 2-3x the memory.
+# samples of a bare 2x2 pencil): the memory bound of every chunk.  Larger
+# budgets ran no faster on 2x2 to 40x40 pencils and took 2-3x the memory;
+# smaller ones slowed the short low-rank scans (1-2 MiB: dense-mimo 2-6%).
 _STACK_BYTES = 8 << 20
+# The most samples in one chunk, whatever its budget.  A chunk of a 2x2 pencil
+# runs about ten elementwise passes over its arrays, so long grids of small
+# pencils run faster in chunks near the 2 MiB L2 cache of a core (see
+# :func:`_chunks`).
+_CHUNK_SAMPLES = 1 << 14
 # The most points a full torus grid may have: 2**24 (8 per delay at m = 8);
 # m = 9 with 8 points per delay would hold about 4.8 GB of rows.
 _MAX_TORUS_POINTS = 2 ** 24
@@ -643,12 +649,14 @@ def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0, step=None) 
     come from the tables of :func:`_grid_phases`.  Each chunk's stack,
     together with the ``rhs`` solution columns per sample that ``fn``
     allocates, holds at most ``_STACK_BYTES`` (and at least one sample), so
-    memory stays bounded however long the grid.  Every chunk, a lone sample
-    included, is one product of a ``(K, N)`` coefficient block with ``S``:
-    one 2-D GEMM for ``n <= 2`` (a lone sample padded to two rows), a
-    stacked product otherwise (see :func:`_pencil_stack`); either way, and
-    with or without ``step``, a sample's pencil does not depend on where the
-    chunks split.  Returns the ``fn`` results in sample order.
+    memory stays bounded however long the grid, and at most
+    ``_CHUNK_SAMPLES`` samples, so the long grids of small pencils run in
+    chunks that stay near the cache (see :func:`_chunks`).  Every chunk, a
+    lone sample included, is one product of a ``(K, N)`` coefficient block
+    with ``S``: one 2-D GEMM for ``n <= 2`` (a lone sample padded to two
+    rows), a stacked product otherwise (see :func:`_pencil_stack`); either
+    way, and with or without ``step``, a sample's pencil does not depend on
+    where the chunks split.  Returns the ``fn`` results in sample order.
     """
     n = math.isqrt(S.shape[1] // 2)
     chunks = _chunks(len(thetas) if omegas is None else len(omegas), n * (n + rhs))
@@ -659,8 +667,18 @@ def _pencil_map(fn, S, *, omegas=None, tau=None, thetas=None, rhs=0, step=None) 
 
 def _chunks(count, entries):
     """Slices of ``count`` samples (one slice when 0), each within ``_STACK_BYTES``
-    at ``entries`` complex numbers per sample."""
-    step = max(_STACK_BYTES // (16 * max(entries, 1)), 1)
+    at ``entries`` complex numbers per sample and at most ``_CHUNK_SAMPLES`` long.
+
+    The budget bounds memory.  The cap binds only where a sample has fewer
+    than 32 entries (so ``n <= 5``, with few solution columns), where the
+    budget would allow up to 131,072 samples: the elementwise passes of a
+    chunk (its phases, the closed-form solve and the singular values) then
+    stream from memory instead of staying near the cache.  On
+    SYS-A's 393,469-point scan, one BLAS thread, ``sigma_T_samples`` took 38-41
+    ns a point with caps of 8,192 and 16,384 samples, against 43 ns at
+    4,096, 47 ns at 32,768 and 52-53 ns at 65,536 or with no cap.
+    """
+    step = min(max(_STACK_BYTES // (16 * max(entries, 1)), 1), _CHUNK_SAMPLES)
     return (slice(lo, lo + step) for lo in range(0, max(count, 1), step))
 
 
@@ -704,7 +722,8 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.nda
     another BLAS routine, so a sample gives the same bits alone and in any
     chunk.  Larger pencils keep the stacked product, the same small one for
     every sample, fed from a contiguous copy of ``X^T``.  Per sample of a
-    65,536-sample chunk with ``K = 6``, one BLAS thread:
+    65,536-sample chunk (before the ``_CHUNK_SAMPLES`` cap) with ``K = 6``,
+    one BLAS thread:
 
         n     stacked product   2-D product
         1     52-76 ns          6.0 ns
@@ -713,14 +732,16 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.nda
         10    303-352 ns        457-492 ns
 
     With the product that small, the phases were most of a chunk at
-    ``n <= 2``.  The whole stack per sample of a 65,536-sample run of SYS-A's
-    scan grid at delays (0.999, 2), whose ``cos`` and ``sin`` come from libm
-    or, with ``step``, from the tables of :func:`_grid_phases` (medians of 45
-    calls in six processes per side, one BLAS thread):
+    ``n <= 2``.  The whole stack per sample of a run of SYS-A's scan grid at
+    delays (0.999, 2), whose ``cos`` and ``sin`` come from libm or, with
+    ``step``, from the tables of :func:`_grid_phases` (medians of 45
+    interleaved calls per process, one BLAS thread; six processes at the
+    cap's 16,384 samples, three at 65,536):
 
-        n     libm          tables
-        1     35-37 ns      17-19 ns
-        2     43-45 ns      24-26 ns
+        n     16,384 samples        65,536 samples
+              libm      tables      libm      tables
+        1     28-30 ns  12-13 ns    29-32 ns  15-16 ns
+        2     30-32 ns  13-15 ns    35-38 ns  20-21 ns
     """
     K = len(S)
     m = (K - 1) // 2

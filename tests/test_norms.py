@@ -544,6 +544,45 @@ class TestPlainNormEvaluations:
         assert all(k <= 3 for k in seen[1:])
         assert "ta_tail_exact" not in diag
 
+    def test_sys_a_chunks(self, monkeypatch):
+        # every pencil chunk of the perturbed SYS-A stays within the cap, and
+        # the cap moves no sample: the same 494,395 as in chunks of 8 MiB
+        seen = []
+        real = system_model._pencil_stack
+
+        def counted(S, n, omegas=None, tau=None, thetas=None, step=None):
+            seen.append(len(thetas) if omegas is None else len(omegas))
+            return real(S, n, omegas, tau, thetas, step)
+
+        monkeypatch.setattr(system_model, "_pencil_stack", counted)
+        hinf_norm_T(make_sys_a((0.999, 2.0)))
+        assert max(seen) == system_model._CHUNK_SAMPLES == 1 << 14
+        assert (sum(seen), len(seen)) == (494_395, 59)
+
+
+def _full_table_denominator(tau):
+    """The common denominator from one table of every candidate up to the cap."""
+    prods = tau[:, None] * np.arange(1, norms.COMMENSURATE_S_CAP + 1)
+    near = np.abs(prods - np.round(prods)) <= norms.COMMENSURATE_REL_TOL * np.maximum(1.0, prods)
+    hits = np.nonzero(near.all(axis=0))[0]
+    return int(hits[0]) + 1 if hits.size else None
+
+
+class TestCommonDenominator:
+    """The block search for ``s`` gives the full table's answer."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("t, want", [
+        (1.0, 1), (2.37, 100), (0.999, 1000), (1.00005, norms.COMMENSURATE_S_CAP),
+        (65.0 / 64.0, 64), (66.0 / 65.0, 65), (449.0 / 448.0, 448), (450.0 / 449.0, 449),
+        (np.sqrt(2.0), None),
+        (2.0 * np.pi / 3.0, 16_664),  # a hit at rounding level in the last block
+    ])
+    def test_matches_the_full_table(self, m, t, want):
+        assert norms._S_BLOCK == 64  # blocks 1..64, 65..192, 193..448, 449..960, ...
+        tau = np.array([(t,), (1.0, t), (2.0, t, 3.0)][m - 1])
+        assert norms._common_denominator(tau) == _full_table_denominator(tau) == want
+
 
 class TestHalfPeriodTail:
     """``T_a(-jw)`` is the conjugate of ``T_a(jw)``, so half a period of the

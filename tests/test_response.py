@@ -384,6 +384,8 @@ class TestPencilKernel:
             return [
                 *response.sigma_T_samples(sys, omegas),
                 *response.sigma_T_samples(oscillator(), np.linspace(0.0, 2.0, 9)),
+                # the last sample's squared norm is beyond Cramer's rule
+                *response.sigma_T_samples(make_sys_a(), [0.3, 1.0, 1.7, 1e150]),
                 *response.sigma_T_samples(low_rank, omegas),
                 *response.sigma_Ta_samples(dec, omegas, sys.tau),
                 *response.sigma_Ta_torus_samples(dec, np.outer(omegas, sys.tau)),
@@ -395,10 +397,13 @@ class TestPencilKernel:
 
         whole = evaluate()
         assert not whole[3].all()  # the oscillator grid hits its root
-        # three samples of a 2x2 pencil per chunk, one of a 4x4 or 40x40 one
-        monkeypatch.setattr(system_model, "_STACK_BYTES", 3 * 16 * 4)
-        for a, b in zip(whole, evaluate(), strict=True):
-            np.testing.assert_array_equal(a, b)
+        # three samples of a 2x2 pencil per chunk, one of a 4x4 or 40x40 one;
+        # then at most seven samples per chunk
+        for name, value in (("_STACK_BYTES", 3 * 16 * 4), ("_CHUNK_SAMPLES", 7)):
+            monkeypatch.setattr(system_model, name, value)
+            for a, b in zip(whole, evaluate(), strict=True):
+                np.testing.assert_array_equal(a, b)
+            monkeypatch.undo()
 
     def test_square_input_matrix(self):
         # p_in == n with stacks of one and of n samples: B is a matrix
@@ -805,11 +810,13 @@ class TestGridPhases:
                 np.testing.assert_array_equal(
                     pencil_stacks(A, omegas=omegas[j:j + 1], tau=tau, step=h, **samples),
                     whole[j:j + 1])
-            for chunk in (1, 300):  # lone samples, and runs across blocks
-                monkeypatch.setattr(system_model, "_STACK_BYTES", 16 * n * n * chunk)
+            # lone samples, runs across blocks, and runs of at most seven samples
+            for name, value in (("_STACK_BYTES", 16 * n * n), ("_STACK_BYTES", 16 * n * n * 300),
+                                ("_CHUNK_SAMPLES", 7)):
+                monkeypatch.setattr(system_model, name, value)
                 np.testing.assert_array_equal(
                     pencil_stacks(A, omegas=omegas, tau=tau, step=h, **samples), whole)
-            monkeypatch.undo()
+                monkeypatch.undo()
 
     def test_samplers_take_the_grid_step(self):
         from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
