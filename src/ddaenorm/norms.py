@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import InstabilityError, UnboundedNormError
 from .response import (
-    _adjugate_map,
     _sigma_chunk,
     _singular_values,
     _transfer,
@@ -143,19 +142,6 @@ def _sigma1(sample, system, points, *args) -> np.ndarray:
     return np.where(ok, sig[:, 0], -np.inf)
 
 
-def _sweep_rows(dec: BlockDecomposition, g: int):
-    """The rows of ``_torus_grid(dec.m, g)`` that may hold the sweep's maximum.
-
-    Returns the half-grid rows, in their order, whose computed ``sigma_1`` may
-    reach the largest one, so that the grid maximum, its first occurrence and
-    the first singular row are those of the whole grid, bit for bit, and the
-    number of cells bounded in each round: the rows that :func:`_cell_rounds`
-    leaves open, with the cell widths of :func:`_sweep_widths` and the bounds
-    of :func:`_cell_bounds`, which flag no row of a cell they bound.
-    """
-    return _cell_rounds(dec.m, g, _sweep_widths(dec), _cell_bounds(dec))
-
-
 def _sweep_widths(dec: BlockDecomposition) -> tuple:
     """The cell widths of the strong-norm sweep's rounds, in grid steps per dimension.
 
@@ -207,12 +193,18 @@ def _cell_bounds(dec: BlockDecomposition):
     conditions are ``q <= 1/2`` and ``u kappa <= 1e-3``, with ``u =
     _ROUNDING_SLACK (n + m) eps``.
 
-    Rounding.  With ``s = u kappa ||C2||_F ||G||_F ||B2||_F / (1 - q)``, the
-    errors below add up to at most ``5.6 s``, and the bound adds ``6 s +
-    _UNDERFLOW``.  The computed inverse ``X`` is off by ``||X - G|| <= u kappa
-    ||G||``, as a solve's backward error ``p(n) eps ||M||`` (``p(n)`` a modest
-    multiple of ``n``, as partial pivoting's growth factor is in practice) is
-    amplified by the condition number.
+    Rounding.  Every centre is factored once, by the sampler's kernel:
+    ``_transfer(M, [B2, I], [C2; I])`` gives ``T(c)``, the sampler's value,
+    ``C2 X``, ``X B2`` and ``X``, the computed ``G``, from one solve against
+    ``[B2 | I | r]`` for ``n >= 3`` and Cramer's adjugate for ``n <= 2``.
+    With ``s = u kappa ||C2||_F ||G||_F ||B2||_F / (1 - q)``, the errors
+    below add up to at most ``5.6 s``, and the bound adds ``6 s +
+    _UNDERFLOW``.  A solved column is off by ``u kappa ||G||`` times the norm
+    of its right-hand side, as a solve's backward error ``p(n) eps ||M||``
+    (``p(n)`` a modest multiple of ``n``, as partial pivoting's growth factor
+    is in practice) is amplified by the condition number, and so is the
+    forward-stable adjugate: ``||X - G|| <= u kappa ||G||``, and ``X B2``,
+    solved against ``B2``, is within the bound of a product with ``X``.
 
     * A computed row's ``sigma_1`` against the exact one (``s``): it is the
       exact one of a pencil perturbed by the assembly (``(2 m + 2) eps`` times
@@ -220,16 +212,16 @@ def _cell_bounds(dec: BlockDecomposition):
       which that bounds in any order of summation, so also in the 2-D product
       of ``n <= 2`` pencils) and by the solve's backward error, plus the
       roundoff of ``C2 X`` and of the singular values.
-    * ``T(c)`` from ``X`` (``s``).
-    * The ``J_i`` from ``X``, each off by ``2.001 u kappa ||A22[i]||
-      ||G||^2 ||C2|| ||B2||``: ``2.001 q s <= 1.001 s`` over the vertex model,
-      and at most ``r_i / 2 <= 1.6`` times that over the phase term.
+    * ``T(c)`` from the same solve (``s``).
+    * The ``J_i`` from ``C2 X`` and ``X B2``, each off by ``2.001 u kappa
+      ||A22[i]|| ||G||^2 ||C2|| ||B2||``: ``2.001 q s <= 1.001 s`` over the
+      vertex model, and at most ``r_i / 2 <= 1.6`` times that over the phase.
     * The vertex sums, their phases and their ``sigma_1`` (``s``).
 
-    ``||G||_F``, ``||C2 G||_F`` and ``||G B2||_F`` from ``X`` carry its
-    relative error (``u kappa <= 1e-3``), the ``||J_i||_F`` the roundoff of
-    their sums, and ``r`` the rounding of the grid points: a factor 1.01 on
-    each covers it.  ``_UNDERFLOW`` covers squares of tiny entries that
+    ``||G||_F``, ``||C2 G||_F`` and ``||G B2||_F`` carry the relative error
+    of ``X`` (``u kappa <= 1e-3``), the ``||J_i||_F`` the roundoff of their
+    sums, and ``r`` the rounding of the grid points: a factor 1.01 on each
+    covers it.  ``_UNDERFLOW`` covers squares of tiny entries that
     underflow.  ``u kappa <= 1e-3`` puts ``kappa`` below ``2.5e10``, far below
     ``1 / RCOND_MIN``, so the sampler (whose test is one-sided) flags no point
     of the cell.
@@ -244,33 +236,25 @@ def _cell_bounds(dec: BlockDecomposition):
     # columns of n entries per cell: the pencil, the vertex stack, C2 G [A22[1] .. A22[m]],
     # G B2 and C2 G, thrice, as the products' temporaries peak at 2.0-3.4 times these
     rhs = 3 * (n - (-(2 ** m) * outs * ins // n) + m * outs + ins + outs) - n
-    eye = np.eye(2).tobytes()
-    adjugate = _adjugate_map((2, 2), eye, (2, 2), eye)  # M -> adj(M), as the sampler's Cramer rule
+    Bw, Cw = np.concatenate([B2, np.eye(n)], axis=1), np.concatenate([C2, np.eye(n)])
 
     def chunk(M, c, r):
-        value, ok = _sigma_chunk(*_transfer(M, B2, C2))
+        W, ok, _ = _transfer(M, Bw, Cw)  # [[T(c), C2 G], [G B2, G]] at the passing centres
+        T, CX, XB, X = W[:, :outs, :ins], W[:, :outs, ins:], W[:, outs:, :ins], W[:, outs:, ins:]
+        value = _sigma_chunk(T, ok)[0]
         bound, q_all = np.full(len(M), np.inf), np.full(len(M), np.inf)
-        M, c, r = M[ok], c[ok], 1.01 * r[ok]
-        K = len(M)
+        c, r, K = c[ok], 1.01 * r[ok], len(W)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if n == 2:
-                V = M.reshape(K, 4)
-                X = (V @ adjugate / (V[:, 0] * V[:, 3] - V[:, 1] * V[:, 2])[:, None]).reshape(K, 2, 2)
-            else:
-                X = np.linalg.inv(M)
-            XB = (X.reshape(-1, n) @ B2).reshape(K, n, ins)
-            CX = (C2 @ X.transpose(1, 0, 2).reshape(n, -1)).reshape(outs, K, n).transpose(1, 0, 2)
-            CX = CX.reshape(-1, n)
-            CXA = (CX @ A).reshape(K, outs * m, n)
+            CXA = (CX.reshape(-1, n) @ A).reshape(K, outs * m, n)
             P = (CXA @ XB).reshape(K, outs, m, ins).transpose(0, 2, 1, 3).reshape(K, m, outs * ins)
             D = np.empty(r.shape, dtype=complex)  # r_i J_i = D_i C2 G A22[i] G B2
             D.real, D.imag = -r * np.sin(c), -r * np.cos(c)
             S = (D[:, :, None] * P).transpose(1, 0, 2).reshape(m, K * outs * ins)
             nv = len(signs)
-            vertices = (signs @ S).reshape(nv, K, outs * ins) + (CX @ B2).reshape(K, outs * ins)
+            vertices = (signs @ S).reshape(nv, K, outs * ins) + T.reshape(K, outs * ins)
             top = _singular_values(vertices.reshape(nv * K, outs, ins))[:, 0].reshape(nv, K).max(0)
             ginv = 1.01 * _frobenius(X)
-            cg = 1.01 * _frobenius(CX.reshape(K, outs, n))
+            cg = 1.01 * _frobenius(CX)
             gb = 1.01 * _frobenius(XB)
             phase = 1.01 * _frobenius(P.reshape(K * m, outs, ins)).reshape(K, m)
             delta = r @ a[1:]
@@ -432,13 +416,14 @@ def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:
     at ``theta`` and ``-theta``, the grid holds one point of each such pair,
     the lexicographically smaller (about half the points).  Grid points
     tie-break to the lexicographically smallest torus point, as on the full
-    grid.  The sweep skips the rows that a second-order cell bound proves to
-    compute below the grid maximum, in rounds of dyadic cells that split only
-    the cells still open (:func:`_sweep_rows`); the grid maximum, its
-    location, the first singular torus matrix and so the whole result are
-    those of the whole grid, bit for bit.  ``diagnostics["grid_points"]``
-    counts the rows swept and ``diagnostics["cells"]`` the cells bounded in
-    each round.
+    grid.  The sweep skips the rows that a second-order cell bound
+    (:func:`_cell_bounds`, which flags no row of a cell it bounds) proves to
+    compute below the grid maximum, in rounds of dyadic cells
+    (:func:`_cell_rounds`, :func:`_sweep_widths`) that split only the cells
+    still open; the grid maximum, its first occurrence, the first singular
+    torus matrix and so the whole result are those of the whole grid, bit for
+    bit.  ``diagnostics["grid_points"]`` counts the rows swept and
+    ``diagnostics["cells"]`` the cells bounded in each round.
 
     Raises
     ------
@@ -481,7 +466,7 @@ def _torus_maximum(dec: BlockDecomposition, g: int) -> NormResult:
             abs_tol=1e-12 * max(value, 1.0), rel_tol=1e-12,
             diagnostics={"gamma_a": gamma_a, "note": "no delays: constant T_a"},
         )
-    thetas, cells = _sweep_rows(dec, g)
+    thetas, cells = _cell_rounds(m, g, _sweep_widths(dec), _cell_bounds(dec))
     sig, ok = sigma_Ta_torus_samples(dec, thetas)
     if not ok.all():
         j = int(np.argmax(~ok))

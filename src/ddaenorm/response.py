@@ -46,11 +46,11 @@ with ``r`` a fixed probe vector, also gives a lower bound of the condition
 number, from the row norms of ``M`` and the norm of ``M^{-1} r``.  It is
 one-sided: every flagged sample also fails the exact test, while a sample
 just below the threshold (``sigma_min / sigma_max`` roughly in
-``(1e-16, 1e-14]``) may pass.  Only a chunk whose LU factorisation meets an
-exactly zero pivot (numpy then rejects the whole stack), and a sample whose
-estimate over- or underflows, fall back to the exact test from singular
-values.  Transfers with a single row or column reduce to a vector 2-norm and
-2x2 transfers to a closed form; other shapes take an SVD of ``T``.
+``(1e-16, 1e-14]``) may pass.  Only a sample whose LU factorisation meets an
+exactly zero pivot (numpy rejects the whole stack; the others are solved
+again), and one whose estimate over- or underflows, fall back to the exact
+test from singular values.  Transfers with a single row or column reduce to
+a vector 2-norm and 2x2 transfers to a closed form; other shapes take an SVD.
 
 ``T`` of a system whose delays enter through few channels skips the pencil
 (see :func:`_low_rank_transfer`).  ``DdaeSystem.delay_channels``, built once
@@ -197,9 +197,10 @@ def _transfer(M, B, C):
     ``kappa <= sigma_max / sigma_min``: a sample fails (``kappa >= 1 / RCOND_MIN``)
     only if it also fails ``sigma_min > RCOND_MIN * sigma_max``, while one with
     ``sigma_min / sigma_max`` slightly below the threshold may pass.  An
-    exactly zero pivot makes numpy reject the whole stack: that chunk, and any
-    sample whose estimate is not finite, is decided by the exact ratio from
-    its singular values instead.  Returns ``(T, ok, rcond)``: ``T`` stacks the
+    exactly zero pivot makes numpy reject the whole stack: the samples whose
+    determinant is 0 (or NaN), and any whose estimate is not finite, are
+    decided by the exact ratio from their singular values, and the others
+    are solved again.  Returns ``(T, ok, rcond)``: ``T`` stacks the
     passing samples only, ``ok`` flags them and ``rcond`` holds ``1 / kappa``
     or the exact ratio per sample for error messages (a flagged sample always
     has its exact ratio at ``n <= 2``, and a sample with a non-finite entry
@@ -215,7 +216,8 @@ def _transfer(M, B, C):
     try:
         X = np.linalg.solve(M, R[None])
     except np.linalg.LinAlgError:  # an exactly zero pivot rejects the whole stack
-        return _exact_transfer(M, B, C)
+        zero = ~(np.linalg.det(M) != 0.0)  # a zero pivot, or a non-finite entry
+        return _split(M, B, C, zero, _transfer) if zero.any() else _exact_transfer(M, B, C)
     V, W = M.view(np.float64), X.view(np.float64)[..., -2:]  # W: the probe's solution
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at extreme scales
         kappa2 = np.maximum.reduce(np.einsum("kij,kij->ki", V, V), axis=1) * np.einsum(
@@ -273,10 +275,7 @@ def _cramer(M, B, C):
     F = np.einsum("ki,ki->k", V.view(np.float64), V.view(np.float64))
     lo, hi = _CRAMER_RANGE
     if not (F.min(initial=lo) >= lo and F.max(initial=hi) <= hi):  # also NaN
-        wild = ~((F >= lo) & (F <= hi))
-        parts = [(np.flatnonzero(w), solve(M[w], B, C))
-                 for w, solve in ((wild, _exact_transfer), (~wild, _cramer))]
-        return _scatter(np.empty((N, C.shape[0], B.shape[1]), dtype=complex), parts)
+        return _split(M, B, C, ~((F >= lo) & (F <= hi)), _cramer)
     W = _adjugate_map(B.shape, np.asarray(B, dtype=np.float64).tobytes(),
                       C.shape, np.asarray(C, dtype=np.float64).tobytes())
     if n == 1:
@@ -354,6 +353,14 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau, step=None):
         at, where = where[:len(part[1])], where[len(part[1]):]
         parts.append((at, part))
     return _scatter(T, parts)
+
+
+def _split(M, B, C, exact, rest):
+    """:func:`_transfer` by :func:`_exact_transfer` at the samples ``exact`` and by
+    ``rest`` at the others, so that a sample gets the same result in any chunk."""
+    parts = [(np.flatnonzero(w), solve(M[w], B, C))
+             for w, solve in ((exact, _exact_transfer), (~exact, rest))]
+    return _scatter(np.empty((len(M), C.shape[0], B.shape[1]), dtype=complex), parts)
 
 
 def _scatter(T, parts):

@@ -218,11 +218,12 @@ def commensurate_approximation(tau, s: int):
     Raises
     ------
     ValueError
-        If s < 1 or a component rounds to zero.
+        If s < 1, a delay is not real, finite and positive, or a component
+        rounds to zero.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = np.atleast_1d(_check_delays(tau))
     rounded = np.round(tau * s) / s
     if (rounded <= 0.0).any():
         raise ValueError(f"component of tau rounds to zero at s={s}")

@@ -521,8 +521,8 @@ def _cell_rounds(m: int, g: int, widths, bounds):
     halvings left, the rounds stop when no cell of this one has ``q <=
     2^(k-1)``: the finest cells would have ``q`` above 1/2, so they would
     cost their bounds and keep every row.  Stopping early only sweeps more
-    rows.  Where ``bounds`` raises ``LinAlgError`` (an exactly singular
-    centre that a sampler passed), the whole half grid is returned.  A grid
+    rows.  Where ``bounds`` raises ``LinAlgError`` (only an SVD that does
+    not converge raises it), the whole half grid is returned.  A grid
     of more than ``_MAX_TORUS_POINTS`` points raises :class:`DimensionError`.
     """
     _check_grid_size(m, g)
@@ -616,7 +616,7 @@ def _default_diff_grid(m: int) -> int:
 
 def _resolve_tau(tau, m: int) -> np.ndarray:
     """A delay override as a vector of ``m`` delays, checked as :class:`DdaeSystem` checks tau."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = np.atleast_1d(tau)
     if tau.size != m:
         raise DimensionError(f"expected {m} delays, got {tau.size}")
     return _check_delays(tau)
@@ -625,10 +625,10 @@ def _resolve_tau(tau, m: int) -> np.ndarray:
 def _check_delays(tau, name="tau", *, zero=False) -> np.ndarray:
     """``tau``, a delay or an array of them, as floats.
 
-    Raises a ``ValueError`` naming ``name`` unless every delay is finite and
-    strictly positive, or also zero where ``zero``.
+    Raises a ``ValueError`` naming ``name`` unless every delay is real, finite
+    and strictly positive, or also zero where ``zero``.
     """
-    tau = np.asarray(tau, dtype=float)
+    tau = _as_real(tau, name)
     if not (np.isfinite(tau) & ((tau >= 0.0) if zero else (tau > 0.0))).all():
         rule = "nonnegative" if zero else "strictly positive"
         if tau.ndim:

@@ -855,6 +855,31 @@ class TestCellBound:
             tracemalloc.stop()
         assert peak < 4 * system_model._STACK_BYTES
 
+    @pytest.mark.parametrize("make", [
+        make_sys_a,
+        make_sys_b,
+        lambda: dense_stable_system(1, 10, nu=2),
+        lambda: dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0)),
+        lambda: dense_stable_system(1, 10, nu=8),
+    ], ids=["SYS-A", "SYS-B", "nu2", "nu4-m3", "nu8"])
+    def test_centre_values_are_the_samplers(self, monkeypatch, make):
+        # the sweep is bit for bit because every centre's value is the sampler's
+        # sigma_1 there (NaN where it is flagged), whatever the cell's round
+        dec, seen, rounds = decompose(make()), [], norms._cell_rounds
+
+        def watched(m, g, widths, bounds):
+            def spied(centres, r):
+                out = bounds(centres, r)
+                seen.append((centres, out[0]))
+                return out
+            return rounds(m, g, widths, spied)
+
+        monkeypatch.setattr(norms, "_cell_rounds", watched)
+        strong_norm_Ta(dec)
+        assert len(seen) >= 2
+        for centres, value in seen:
+            np.testing.assert_array_equal(value, sigma_Ta_torus_samples(dec, centres)[0][:, 0])
+
 
 class TestPrunedSweep:
     """The pruned strong-norm sweep against the whole half grid, evaluated in the test."""
@@ -865,7 +890,7 @@ class TestPrunedSweep:
     def _bit_for_bit(dec, g):
         """Rows swept and rows of the half grid, once the sweep matches the whole grid."""
         grid = _torus_grid(dec.m, g)
-        rows, _ = norms._sweep_rows(dec, g)
+        rows, _ = norms._cell_rounds(dec.m, g, norms._sweep_widths(dec), norms._cell_bounds(dec))
         kept = np.isin(_grid_index(grid, g), _grid_index(rows, g))
         np.testing.assert_array_equal(rows, grid[kept])  # a subsequence of the half grid
         whole = sigma_Ta_torus_samples(dec, grid)[0][:, 0]

@@ -379,6 +379,10 @@ class TestPencilKernel:
         omegas = np.linspace(0.0, 20.0, 23)
         low_rank = dense_stable_system(1, 40)
         assert low_rank.delay_channels.kernel == "low-rank"
+        # roots at the grid samples 3 and 7 of a step sweep: the low-rank kernel hands
+        # both off at once, and their phases come from the grid phases' gathers
+        h, rooted = 0.25, with_roots(low_rank_system(3, 12, 2), 0.75, 1.75)
+        assert rooted.delay_channels.kernel == "low-rank"
 
         def evaluate():
             return [
@@ -387,6 +391,7 @@ class TestPencilKernel:
                 # the last sample's squared norm is beyond Cramer's rule
                 *response.sigma_T_samples(make_sys_a(), [0.3, 1.0, 1.7, 1e150]),
                 *response.sigma_T_samples(low_rank, omegas),
+                *response.sigma_T_samples(rooted, h * np.arange(12), step=h),
                 *response.sigma_Ta_samples(dec, omegas, sys.tau),
                 *response.sigma_Ta_torus_samples(dec, np.outer(omegas, sys.tau)),
                 imaginary_axis_margin(sys, 20.0, count=23),
@@ -397,6 +402,10 @@ class TestPencilKernel:
 
         whole = evaluate()
         assert not whole[3].all()  # the oscillator grid hits its root
+        np.testing.assert_array_equal(np.flatnonzero(~whole[9]), [3, 7])
+        sig, ok = dense_kernel(rooted, h * np.arange(12))
+        np.testing.assert_array_equal(ok, whole[9])
+        assert_sigmas_close(whole[8][ok], sig[ok], 1e-12)
         # three samples of a 2x2 pencil per chunk, one of a 4x4 or 40x40 one;
         # then at most seven samples per chunk
         for name, value in (("_STACK_BYTES", 3 * 16 * 4), ("_CHUNK_SAMPLES", 7)):
@@ -586,6 +595,19 @@ class TestSingularityRule:
         np.testing.assert_array_equal(ok, [True, False, True])
         assert rcond[1] == 0.0 and calls == [1]
         np.testing.assert_allclose(T, [np.eye(3), 0.5 * np.eye(3)], rtol=1e-15)
+
+    def test_exact_zero_pivot_leaves_the_other_samples_to_the_solve(self):
+        # only the exactly singular sample takes the SVD test: a sample just
+        # above the threshold passes beside it as it passes alone
+        from ddaenorm.response import _transfer
+        rng = np.random.default_rng(0)
+        Q1, Q2 = (np.linalg.qr(rng.standard_normal((10, 10)))[0] for _ in range(2))
+        M1 = Q1 @ np.diag(np.r_[np.ones(9), 5e-15]) @ Q2.T
+        B, C = rng.standard_normal((10, 2)), rng.standard_normal((2, 10))
+        T1, ok1, _ = _transfer(M1[None].astype(complex), B, C)
+        T, ok, rcond = _transfer(np.array([np.zeros((10, 10)), M1], dtype=complex), B, C)
+        assert ok1.tolist() == [True] and ok.tolist() == [False, True] and rcond[0] == 0.0
+        np.testing.assert_array_equal(T, T1)
 
     def test_closed_form_flags_exact_zero_without_svd(self, monkeypatch):
         from ddaenorm.response import _transfer
@@ -867,6 +889,19 @@ def with_root(sys, w0):
         delta = s[-1] * np.stack([u.real, u.imag], 1) @ np.linalg.pinv(
             np.stack([v.real, v.imag], 1))
     return with_A0(sys, sys.A[0] + delta)
+
+
+def with_roots(sys, *ws):
+    """``sys`` with ``A_0`` moved by a real matrix of rank <= 2 per frequency so that
+    ``M(j w)`` is singular at each (nonzero) ``w`` of ``ws``."""
+    V, Y = [], []
+    for w in ws:
+        M = 1j * w * sys.E - sys.A[0] - sum(
+            Ai * np.exp(-1j * w * t) for Ai, t in zip(sys.A[1:], sys.tau))
+        v = np.linalg.svd(M)[2][-1].conj()
+        V += [v.real, v.imag]  # a real D with D V = Y has D v = M v
+        Y += [(M @ v).real, (M @ v).imag]
+    return with_A0(sys, sys.A[0] + np.stack(Y, 1) @ np.linalg.pinv(np.stack(V, 1)))
 
 
 def dense_kernel(sys, omegas):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddaenorm
 from ddaenorm import (
     AssumptionError,
     DdaeSystem,
@@ -44,6 +45,24 @@ class TestDelays:
         for call in calls:
             with pytest.raises(ValueError, match="^tau must hold finite, strictly positive"):
                 call()
+
+    @pytest.mark.parametrize("bad", [np.complex128(1.0 + 0.5j), math.nan], ids=["complex", "nan"])
+    @pytest.mark.parametrize("name, call", [
+        ("tau", lambda sys, t: hinf_norm_T(sys, tau=[t, 2.0])),
+        ("tau", lambda sys, t: eval_T(sys, 1.0, tau=[t, 2.0])),
+        ("tau", lambda sys, t: ddaenorm.PerturbationStudy(tau=[t, 2.0], epsilon=0.1)),
+        ("tau", lambda sys, t: ddaenorm.StaticDelayController(K=[[1.0]], tau=t)),
+        ("tau", lambda sys, t: ddaenorm.commensurate_approximation([t, 2.0], 10)),
+        ("tau_new", lambda sys, t: ddaenorm.absorb_io_delay(sys, "input", [[1.0]], t)),
+        ("tau1", lambda sys, t: ddaenorm.from_neutral([[0.5]], t, [[-1.0]], [[0.1]], 2.0,
+                                                      [[1.0]], [[1.0]])),
+        ("step", lambda sys, t: sigma_T_samples(sys, [0.0, 1.0], step=t)),
+    ], ids=["hinf_norm_T", "eval_T", "PerturbationStudy", "StaticDelayController",
+            "commensurate_approximation", "absorb_io_delay", "from_neutral", "step"])
+    def test_every_delay_input_refuses_complex_and_nonfinite(self, sys_a, name, call, bad):
+        # one check for every delay: the imaginary part is refused, never dropped
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(sys_a, bad)
 
     def test_no_delays_pass(self):
         sys = DdaeSystem(E=np.eye(1), A=(-np.eye(1),), B=[1.0], C=[1.0], tau=[])
