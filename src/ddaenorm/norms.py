@@ -21,6 +21,7 @@ which is exactly what happens for weakly perturbed commensurate delays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import InstabilityError, UnboundedNormError
 from .response import (
+    _frequency_cell_bound,
     _sigma_chunk,
     _singular_values,
     _transfer,
@@ -86,6 +88,10 @@ _BOUND_SAFETY = 2.0
 # The cell bound of the strong-norm sweep (see _cell_bounds): an absolute floor
 # for underflow in sums of squares.
 _UNDERFLOW = 1e-150
+# Grid samples per frequency cell of the pruned uniform sweeps, and the fewest
+# cells a sweep must hold to be pruned (see _cell_sweep).
+_CELL_SAMPLES = 17
+_MIN_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -590,7 +596,7 @@ def frequency_bound(dec: BlockDecomposition, tau, gamma: float) -> float:
 
 
 def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_points: int):
-    """``s``, the period of ``sigma_1(T_a(jw))``, its supremum and the sweep's size.
+    """``s``, the period of ``sigma_1(T_a(jw))``, its supremum and the sweep's sizes.
 
     The denominator ``s`` is the smallest integer up to ``COMMENSURATE_S_CAP`` with every
     ``tau_i`` within tolerance of some ``n_i / s``, or ``None``.  The curve
@@ -599,38 +605,44 @@ def _tail_sup_Ta(dec: BlockDecomposition, tau: np.ndarray, step: float, max_poin
     ``None``, and no sample is taken, without a period or when one period
     needs more than ``max_points`` samples: the strong norm of T_a bounds it.
     Of the period's ``npts`` samples ``k * h`` only the first ``npts // 2 + 1``
-    are taken: ``T_a(-jw)`` is the conjugate of ``T_a(jw)``, so samples ``k``
-    and ``npts - k`` are mirror images (exactly for one delay, within
+    are grid samples: ``T_a(-jw)`` is the conjugate of ``T_a(jw)``, so samples
+    ``k`` and ``npts - k`` are mirror images (exactly for one delay, within
     ``COMMENSURATE_REL_TOL`` otherwise, as the period itself).  The sweep
-    passes ``h`` to the sampler as its ``step``.  The sweep's size counts its
-    samples, not those of the polish (one sample without delays, none when
-    nothing is sampled).
+    passes ``h`` to the sampler as its ``step``, and for ``nu <= 2`` skips
+    the cells whose bound lies below its running maximum (see
+    :func:`_cell_sweep`), so the first maximum, the polish's start, and the
+    first singular sample are the whole grid's.  Returns ``(s, period, sup,
+    points, samples)``: the grid's size and the samples taken, not those of
+    the polish (one sample without delays, none when nothing is sampled).
     """
     if dec.nu == 0:
-        return None, None, 0.0, 0
+        return None, None, 0.0, 0, 0
     if dec.m == 0:
-        return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0]), 1
+        return None, None, float(_sigma1(sigma_Ta_samples, dec, np.zeros(1), tau)[0]), 1, 1
     s = _common_denominator(tau)
     if dec.m == 1:
         period = 2.0 * math.pi / float(tau[0])
     elif s is not None:
         period = 2.0 * math.pi * s
     else:
-        return s, None, None, 0
+        return s, None, None, 0, 0
     npts = max(int(period / step) + 1, 512)
     if npts > max_points:
-        return s, period, None, 0
+        return s, period, None, 0, 0
     omegas = np.linspace(0.0, period, npts, endpoint=False)[:npts // 2 + 1]
-    sig, ok = sigma_Ta_samples(dec, omegas, tau, step=omegas[1])
-    if not ok.all():
-        bad = omegas[~ok][0]
+    h = omegas[1]
+    sigma1, bad, taken = _cell_sweep(
+        lambda w: sigma_Ta_samples(dec, w, tau, step=h),
+        lambda: _frequency_cell_bound(dec.pencil_basis, dec.A22, None, dec.B2, dec.C2, tau),
+        omegas, h, lambda top: top)
+    if bad is not None:
         raise UnboundedNormError(
             f"A22(j*omega) singular at omega={bad:.6g}: difference part unstable"
         )
-    i = int(np.argmax(sig[:, 0]))
+    i = int(np.argmax(sigma1))
     [_], [v], _ = _frequency_ascent(sigma_Ta_samples, dec, tau, omegas[i:i + 1],
-                                    sig[i:i + 1, 0], omegas[1])
-    return s, period, float(v), len(omegas)
+                                    sigma1[i:i + 1], h)
+    return s, period, float(v), len(omegas), taken
 
 
 def _common_denominator(tau) -> int | None:
@@ -662,6 +674,64 @@ def _frequency_ascent(sample, system, tau, omegas, values, h):
     return w[:, 0], v, calls
 
 
+def _cell_sweep(sample, bound, grid, h, floor):
+    """``sigma_1`` of ``sample`` on ``grid``, except in cells that ``bound`` puts below ``floor``.
+
+    ``grid`` holds consecutive samples ``k h`` of a uniform sweep and
+    ``sample`` maps frequencies to a sampler's ``(sigmas, ok)``.  ``bound()``
+    gives a map of :func:`ddaenorm.response._frequency_cell_bound`, or None;
+    it is called only for a grid of at least ``_MIN_CELLS`` cells.  The cells
+    are the runs of ``_CELL_SAMPLES`` samples centred on the multiples of
+    ``_CELL_SAMPLES`` (in ``k``) that lie within the grid, so the samples
+    next to ``w = 0`` are in none.  The centres are sampled first, in one
+    call; ``floor`` maps their largest ``sigma_1`` to a level, and each cell
+    whose bound lies below it, at a centre that passed, is skipped.  The
+    other samples are taken in one more call.  The bound is taken at the
+    centres ``j (_CELL_SAMPLES h)``, which differ from the grid's ``k h`` by
+    rounding only, and its radius covers that rounding.  A cell with a finite
+    bound holds no sample that the sampler could flag, so the first flagged
+    sample taken is the grid's first.
+
+    Below ``_MIN_CELLS`` cells the whole grid is sampled in one call.  The
+    pruner's fixed cost, a second sampler call and the bound's own, is
+    about 0.2 ms (2-vCPU host): on SYS-A's and SYS-B's scans and tails it
+    broke even between 8,000 and 16,000 samples (medians of 41 calls), and
+    saved 26-52% from 32,000 on.
+
+    Returns ``sigma_1`` (``-inf`` at the skipped samples), the first flagged
+    frequency (None when no sample is flagged) and the number of samples
+    taken.
+    """
+    N, L = len(grid), _CELL_SAMPLES
+    half = L // 2
+    k0 = round(float(grid[0]) / h) if N else 0
+    j = np.arange(-(-(k0 + half) // L), (k0 + N - half) // L)  # cells within the grid
+    if j.size < _MIN_CELLS or (bound := bound()) is None:
+        sig, ok = sample(grid)
+        return sig[:, 0], _first(grid, ok), N
+    at = j * L - k0  # the centres' places in the grid
+    sig, ok = sample(grid[at])
+    sigma1 = np.full(N, -np.inf)
+    sigma1[at], bad = sig[:, 0], _first(grid[at], ok)
+    level = floor(float(sig[ok, 0].max(initial=-np.inf)))
+    r = half * h + 4.0 * np.finfo(float).eps * float(grid[-1])
+    kept = at[~((bound(j * (L * h), r, L * h) < level) & ok)]
+    rest = np.concatenate([np.arange(at[0] - half),  # before the cells, the open cells, after
+                           (kept[:, None] + np.r_[-half:0, 1:half + 1]).ravel(),
+                           np.arange(at[-1] + half + 1, N)])
+    if rest.size:
+        sig, ok = sample(grid[rest])
+        sigma1[rest] = sig[:, 0]
+        if (more := _first(grid[rest], ok)) is not None:
+            bad = more if bad is None else min(bad, more)
+    return sigma1, bad, at.size + rest.size
+
+
+def _first(grid, ok):
+    """The first frequency of ``grid`` that ``ok`` flags, or None."""
+    return None if ok.all() else float(grid[np.argmin(ok)])
+
+
 def _local_max_indices(values: np.ndarray) -> np.ndarray:
     if values.size == 1:
         return np.array([0])
@@ -678,7 +748,8 @@ def _scan(scan, cap, step, lobe, omega_low, period, max_points):
     """Scan ``sigma_1`` on the grid ``k * step`` only as far as the tail certificate needs.
 
     ``scan`` evaluates grid points (``np.arange(0, upto, step)`` is exactly
-    ``k * step``, so it may pass ``step`` to a sampler); ``cap`` maps a grid
+    ``k * step``, so it may pass ``step`` to a sampler), ``-inf`` where it
+    proves a sample below the level that matters; ``cap`` maps a grid
     maximum, a lower bound of the supremum, to a valid certified cap (``inf``
     if none).  The floors are ``omega_low``, 20 lobes and two periods of
     ``T_a`` (1,000 lobes for incommensurate delays), cut to ``max_points``.
@@ -741,10 +812,27 @@ def hinf_norm_T(
     the diagnostics.  ``T_a``'s part of the tail is bounded by its supremum
     over one period (``diagnostics["ta_tail_sup"]``, see :func:`_tail_sup_Ta`)
     or, when that is ``None``, by its strong norm;
-    ``diagnostics["ta_tail_points"]`` counts the samples of that sweep, which
+    ``diagnostics["ta_tail_points"]`` counts the grid of that sweep, which
     covers half the period, beside the scan's ``diagnostics["scan_points"]``.
     The scan and that sweep sample uniform grids, whose phases come from
     short tables (the samplers' ``step``).
+
+    For ``n <= 2`` (the tail: ``nu <= 2``) both grids are pruned
+    (:func:`_cell_sweep`) when a segment of the scan, or the tail's half
+    period, holds at least ``_MIN_CELLS`` cells of ``_CELL_SAMPLES``
+    samples: the cell centres are sampled first, and a cell is skipped when
+    the closed-form bound of
+    :func:`ddaenorm.response._frequency_cell_bound` puts every sample in it
+    below ``(1 - capture)`` times the scan's running maximum (the tail's:
+    below its running maximum), ``capture`` being the 2% (or ``8 *
+    bisect_tol``) window of the candidate peaks.  A skipped sample could
+    neither enter that window nor be a local maximum of it, nor lower the
+    grid maximum, the first one of the tail or the first flagged sample
+    (a cell is skipped only where the sampler can flag none), so every
+    reported field is that of the whole grids, bit for bit.
+    ``diagnostics["scan_samples"]`` and ``diagnostics["ta_tail_samples"]``
+    count the samples taken; on SYS-A at delays (0.999, 2) they are 71,981 of
+    393,469 and 17,201 of 95,969.
     ``diagnostics["iterations"]`` counts the ascent's sampler calls,
     ``diagnostics["kernel"]`` names the evaluator of ``T`` and
     ``diagnostics["delay_rank"]`` the rank of its delay channels (see
@@ -782,7 +870,8 @@ def hinf_norm_T(
     omega_low = 10.0 * (1.0 + params.scale)
     step = lobe / SCAN_DENSITY if lobe else omega_low / 10000.0
 
-    s, period, ta_sup, ta_points = _tail_sup_Ta(dec, tau, step, MAX_SCAN_POINTS // 2)
+    s, period, ta_sup, ta_points, ta_samples = _tail_sup_Ta(dec, tau, step,
+                                                            MAX_SCAN_POINTS // 2)
     # Rigorous tail cap: beyond it the response cannot rise above the level
     # of a grid maximum unless the asymptotic branch already dominates.
     tail_ub = ta.value if ta_sup is None else ta_sup * (1.0 + 1e-6)
@@ -791,14 +880,22 @@ def hinf_norm_T(
         gamma_cap = xi_grid * (1.0 + bisect_tol) - tail_ub
         return _omega_cap(params, gamma_cap) if gamma_cap > 0.0 else math.inf
 
+    capture = max(0.02, 8.0 * bisect_tol)
+    bound = functools.cache(
+        lambda: _frequency_cell_bound(sys.pencil_basis, sys.A, sys.E, sys.B, sys.C, tau))
+    taken, best = 0, -math.inf
+
     def scan(grid):
-        sig, ok = sigma_T_samples(sys, grid, tau, step=step)
-        if not ok.all():
-            w_bad = float(grid[~ok][0])
+        nonlocal taken, best
+        sigma1, bad, count = _cell_sweep(lambda w: sigma_T_samples(sys, w, tau, step=step), bound,
+                                         grid, step, lambda top: max(top, best) * (1.0 - capture))
+        taken += count
+        if bad is not None:
             raise InstabilityError(
-                f"characteristic root detected on the imaginary axis near omega={w_bad:.6g}"
+                f"characteristic root detected on the imaginary axis near omega={bad:.6g}"
             )
-        return sig[:, 0]
+        best = max(best, float(sigma1.max()))
+        return sigma1
 
     omegas, sigma1, omega_scan, omega_cap, truncated = _scan(
         scan, cap, step, lobe, omega_low, period, MAX_SCAN_POINTS)
@@ -806,7 +903,6 @@ def hinf_norm_T(
     omega_cap = omega_cap if tail_certified else omega_scan
     xi_grid = float(sigma1.max())
 
-    capture = max(0.02, 8.0 * bisect_tol)
     idx = _local_max_indices(sigma1)
     idx = idx[sigma1[idx] >= xi_grid * (1.0 - capture)]
     if idx.size > 400:
@@ -833,6 +929,7 @@ def hinf_norm_T(
     diagnostics = {
         "iterations": iterations,
         "scan_points": int(omegas.size),
+        "scan_samples": taken,
         "scan_step": step,
         "omega_scan": omega_scan,
         "omega_cap": omega_cap,
@@ -840,6 +937,7 @@ def hinf_norm_T(
         "strong_ta": ta.value,
         "ta_tail_sup": ta_sup,
         "ta_tail_points": ta_points,
+        "ta_tail_samples": ta_samples,
         "commensurate_s": s,
         "tail_certified": tail_certified,
         "tail_gap": tail_gap,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -710,6 +710,9 @@ def _pencil_basis(A, E=None) -> np.ndarray:
 def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.ndarray:
     """One chunk of :func:`_pencil_map`: the coefficient block times the map ``S``.
 
+    A map of ``L`` pencils side by side (``[S | S']``, ``L 2 n^2`` columns)
+    gives them one under another, an ``(N, L n, n)`` stack.
+
     The block is ``(K, N)``, one contiguous row per coefficient: the phases
     ``tau_i * omegas`` (or ``thetas``) go straight into rows ``1..m``, their
     ``sin`` into the last ``m`` rows, then their ``cos`` in place; with a
@@ -761,8 +764,8 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.nda
         with np.errstate(invalid="ignore"):  # a non-finite phase gives NaN, flagged downstream
             np.sin(phase, out=X[K - m:])
             np.cos(phase, out=phase)
-    M = np.empty((N, n, n), dtype=complex)
-    V = M.reshape(N, n * n).view(np.float64)
+    M = np.empty((N, S.shape[1] // (2 * max(n, 1)), n), dtype=complex)
+    V = M.reshape(N, -1).view(np.float64)
     if n > 2:
         np.matmul(np.ascontiguousarray(X.T)[:, None], S, out=V[:, None])
     elif N != 1:
@@ -779,11 +782,12 @@ def _grid_phases(tau, h, omegas, c, s):
     With ``B = 2**_PHASE_BITS = 256``, sample ``w = (q B + r) h`` takes the cos and
     sin of ``a = tau_i (h (q B))`` and ``b = tau_i (h r)`` from two tables and
     adds the angles: ``cos(a + b) = cos a cos b - sin a sin b`` and ``sin(a +
-    b) = sin a cos b + cos a sin b``.  So one chunk makes about ``2 m (N / B
-    + B)`` libm calls, not ``2 m N``.  A contiguous run of the grid, a lone
-    sample included, takes outer products of the tables over whole blocks;
-    any other set of samples (a subset, say) gathers from tables of the
-    ``q`` and ``r`` it holds.  Both do the same multiplies and the same
+    b) = sin a cos b + cos a sin b``.  So one chunk makes about ``2 m N / B``
+    libm calls, not ``2 m N``, and the residue table (:func:`_residue_table`)
+    its ``2 m B`` once per delays and step.  A contiguous run of the grid, a
+    lone sample included, takes outer products of the tables over whole
+    blocks; any other set of samples (a subset, say) gathers from a table of
+    the ``q`` it holds and from the residue table.  Both do the same multiplies and the same
     addition, and a table entry depends only on ``(tau_i, h, q)`` or ``(tau_i,
     h, r)``, so a sample's phases depend only on ``(tau, h, k)``: the same
     bits alone, in any chunk and in any subset.  Each side of the addition
@@ -801,7 +805,7 @@ def _grid_phases(tau, h, omegas, c, s):
     if k0 is not None and (np.arange(k0, k0 + N) * h == omegas).all():
         q0, lo = divmod(k0, B)
         nq = (lo + N - 1) // B + 1
-        ks = np.concatenate([np.arange(q0 * B, (q0 + nq) * B, B), np.arange(B)])
+        qs = np.arange(q0 * B, (q0 + nq) * B, B)
     else:
         k = np.rint(omegas / h)
         if not ((k * h == omegas) & (np.abs(k) <= 2.0 ** 52)).all():
@@ -813,14 +817,12 @@ def _grid_phases(tau, h, omegas, c, s):
             q -= qs[0]
         else:
             qs, q = np.unique(q, return_inverse=True)
-        rs = np.arange(r.min(), r.max() + 1)
-        r -= rs[0]
-        nq, lo, ks = len(qs), None, np.concatenate([B * qs, rs])
-    angles = np.multiply.outer(tau, h * ks)
-    cs = np.empty((2, m, len(ks)))  # [cos; sin] of the q angles, then of the r angles
-    np.cos(angles, out=cs[0])
-    np.sin(angles, out=cs[1])
-    a, b = cs[..., :nq], cs[..., nq:]
+        nq, lo, qs = len(qs), None, B * qs
+    angles = np.multiply.outer(tau, h * qs)
+    a = np.empty((2, m, nq))  # [cos; sin] of the q angles
+    np.cos(angles, out=a[0])
+    np.sin(angles, out=a[1])
+    b = _residue_table(np.asarray(tau, dtype=np.float64).tobytes(), float(h))
     if lo is None:  # the gathers
         a, b, lo = a.take(q, axis=2), b.take(r, axis=2), 0
     else:  # whole blocks, then the run within them
@@ -830,6 +832,23 @@ def _grid_phases(tau, h, omegas, c, s):
     np.subtract(run[0], run[1], out=c)
     np.multiply(a, b[::-1], out=t)  # [cos a sin b, sin a cos b]
     np.add(run[1], run[0], out=s)
+
+
+@lru_cache(maxsize=64)
+def _residue_table(tau_data, h) -> np.ndarray:
+    """``[cos; sin]`` of ``tau_i (h r)`` for the residues ``r`` of :func:`_grid_phases`.
+
+    ``(2, m, 2**_PHASE_BITS)``, for the delays with these bytes.  Cached and
+    read-only, as a grid's step recurs in every chunk and call of a sweep:
+    its ``2 m 2**_PHASE_BITS`` libm calls were about half the cost of a
+    short call.
+    """
+    angles = np.multiply.outer(np.frombuffer(tau_data), h * np.arange(1 << _PHASE_BITS))
+    table = np.empty((2, *angles.shape))
+    np.cos(angles, out=table[0])
+    np.sin(angles, out=table[1])
+    table.flags.writeable = False
+    return table
 
 
 def _min_sigma(S, **samples) -> float:

@@ -173,11 +173,13 @@ class TestHinfNorm:
         monkeypatch.setattr(norms, "sigma_T_samples", sampler)
         res = hinf_norm_T(sys_a, tau=[0.99, 2.0])
         assert max(top) <= res.diagnostics["global_peak"] * (1.0 + 1e-12)
-        assert res.diagnostics["iterations"] == len(top) - 2  # the scan took 2 calls
+        # the scan took 3 calls: its first segment whole, then the centres and the
+        # open cells of the pruned second
+        assert res.diagnostics["iterations"] == len(top) - 3
 
     def test_diagnostics_keys(self, sys_a):
         diag = hinf_norm_T(sys_a, tau=[0.99, 2.0]).diagnostics
-        for key in ("iterations", "omega_cap", "global_peak"):
+        for key in ("iterations", "omega_cap", "global_peak", "scan_samples", "ta_tail_samples"):
             assert key in diag
         for key in ("levels", "crossings", "level_state", "seed_level"):
             assert key not in diag
@@ -498,11 +500,12 @@ class TestPlainNormEvaluations:
     """Points of the frequency scan and of the peak polish, and their calls."""
 
     @pytest.mark.parametrize("tau, points, calls", [
-        ((1.0, 2.0), 8_034, 7),
+        ((1.0, 2.0), 8_034, 7),  # no segment holds enough cells to be pruned
         # the scan's phases come from tables (ulp-level moves of the samples),
-        # so the polish of the flat peaks takes other steps
-        ((0.99, 2.0), 39_627, 9),
-        ((0.999, 2.0), 397_702, 15),
+        # so the polish of the flat peaks takes other steps; the pruned second
+        # segment takes two calls, its cell centres and its open cells
+        ((0.99, 2.0), 8_619, 10),
+        ((0.999, 2.0), 76_214, 16),
     ])
     def test_sys_a(self, monkeypatch, tau, points, calls):
         seen = []
@@ -517,15 +520,16 @@ class TestPlainNormEvaluations:
         assert sum(seen) == points
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("tau, points, calls", [
-        # half a period: 257 of 512 and 95,969 of 191,937 samples
-        ((1.0, 2.0), 271, 6),
-        ((0.999, 2.0), 95_983, 6),
-        ((1.0, np.sqrt(2.0)), 0, 0),  # incommensurate
-        ((0.9999, 2.0), 0, 0),  # one period needs 1,000,000 samples
-        ((1.0, 2.0 * np.pi / 3.0), 0, 0),  # detected as s = 16,664
+    @pytest.mark.parametrize("tau, points, calls, sweep", [
+        # half a period: 257 of 512 samples in one call, and 17,201 of the
+        # 95,969 of 191,937, in two calls (the cell centres, then the open cells)
+        ((1.0, 2.0), 271, 6, 1),
+        ((0.999, 2.0), 17_215, 7, 2),
+        ((1.0, np.sqrt(2.0)), 0, 0, 0),  # incommensurate
+        ((0.9999, 2.0), 0, 0, 0),  # one period needs 1,000,000 samples
+        ((1.0, 2.0 * np.pi / 3.0), 0, 0, 0),  # detected as s = 16,664
     ])
-    def test_ta_tail_sys_a(self, monkeypatch, tau, points, calls):
+    def test_ta_tail_sys_a(self, monkeypatch, tau, points, calls, sweep):
         # T_a's tail is swept only when one period sets its supremum exactly;
         # its mirror symmetry leaves half of that period
         seen = []
@@ -540,13 +544,14 @@ class TestPlainNormEvaluations:
         assert (sum(seen), len(seen)) == (points, calls)
         assert (diag["ta_tail_sup"] is None) == (calls == 0)
         # the half-period sweep comes first, then the polish's stencils
-        assert diag["ta_tail_points"] == (seen[0] if seen else 0)
-        assert all(k <= 3 for k in seen[1:])
+        assert diag["ta_tail_samples"] == sum(seen[:sweep])
+        assert all(k <= 3 for k in seen[sweep:])
         assert "ta_tail_exact" not in diag
 
     def test_sys_a_chunks(self, monkeypatch):
         # every pencil chunk of the perturbed SYS-A stays within the cap, and
-        # the cap moves no sample: the same 494,395 as in chunks of 8 MiB
+        # the cap moves no sample: the same 94,139 as in chunks of 8 MiB (the
+        # samplers' stacks; the pruned scan and tail took 494,395 whole)
         seen = []
         real = system_model._pencil_stack
 
@@ -557,7 +562,110 @@ class TestPlainNormEvaluations:
         monkeypatch.setattr(system_model, "_pencil_stack", counted)
         hinf_norm_T(make_sys_a((0.999, 2.0)))
         assert max(seen) == system_model._CHUNK_SAMPLES == 1 << 14
-        assert (sum(seen), len(seen)) == (494_395, 59)
+        assert (sum(seen), len(seen)) == (94_139, 36)
+
+
+def _without_samples(doc):
+    """A ``to_dict()`` without the counts of the samples taken."""
+    if isinstance(doc, dict):
+        return {k: _without_samples(v) for k, v in doc.items()
+                if k not in ("scan_samples", "ta_tail_samples")}
+    return [_without_samples(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def _with_root(sys, w0):
+    """SYS-A with ``A_0``'s first row moved so that ``M(j w0)`` is singular; the
+    algebraic block ``A_0[1, 1]`` and the coupling ``A_0[1, 0]`` stay."""
+    M = 1j * w0 * sys.E - sys.A[0] - sum(
+        Ai * np.exp(-1j * w0 * t) for Ai, t in zip(sys.A[1:], sys.tau))
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]  # det(M - [[a, b], [0, 0]]) = 0:
+    lhs = np.array([[-M[1, 1].real, M[1, 0].real], [-M[1, 1].imag, M[1, 0].imag]])
+    a, b = np.linalg.solve(lhs, [-det.real, -det.imag])
+    return DdaeSystem(E=sys.E, A=(sys.A[0] + [[a, b], [0.0, 0.0]], *sys.A[1:]), B=sys.B,
+                      C=sys.C, tau=sys.tau)
+
+
+_PRUNED = [pytest.param(lambda tau=tau: make_sys_a(tau), id=f"SYS-A-{name}") for tau, name in (
+    ((1.0, 2.0), "nominal"), ((0.99, 2.0), "0.99"), ((0.999, 2.0), "0.999"),
+    ((0.9999, 2.0), "0.9999"), ((1.0, np.sqrt(2.0)), "sqrt2"),
+    ((1.0, 2.0 * np.pi / 3.0), "2pi/3"))]
+_PRUNED += [pytest.param(make_sys_b, id="SYS-B"),
+            pytest.param(lambda: random_stable_system(3), id="random-3-n2"),
+            pytest.param(lambda: random_stable_system(34), id="random-34-n1")]
+
+
+class TestPrunedScan:
+    """The scan and the ``T_a`` tail sweep skip the frequency cells whose closed-form
+    bound lies below the capture window (the tail: below its running maximum), with
+    every result field that of the whole grids."""
+
+    @pytest.mark.parametrize("min_cells", [None, 1], ids=["long-sweeps", "every-sweep"])
+    @pytest.mark.parametrize("make", _PRUNED)
+    def test_same_bits_as_the_whole_grids(self, make, min_cells, monkeypatch):
+        # "every-sweep" prunes short sweeps too: the 257-sample tail, the
+        # 1,280-sample first segment and the random systems' scans
+        if min_cells is not None:
+            monkeypatch.setattr(norms, "_MIN_CELLS", min_cells)
+        sys = make()
+        pruned = [norm(sys).to_dict() for norm in (hinf_norm_T, strong_hinf_norm_T)]
+        monkeypatch.setattr(norms, "_frequency_cell_bound", lambda *args: None)
+        whole = [norm(sys).to_dict() for norm in (hinf_norm_T, strong_hinf_norm_T)]
+        assert repr(_without_samples(pruned)) == repr(_without_samples(whole))
+        diag, full = pruned[0]["diagnostics"], whole[0]["diagnostics"]
+        assert full["scan_samples"] == diag["scan_points"]
+        assert full["ta_tail_samples"] == diag["ta_tail_points"]
+        assert diag["scan_samples"] <= diag["scan_points"]
+        if min_cells is not None:
+            assert diag["scan_samples"] < diag["scan_points"]
+
+    def test_samples_taken_on_sys_a(self):
+        diag = hinf_norm_T(make_sys_a((0.999, 2.0))).diagnostics
+        assert (diag["scan_points"], diag["scan_samples"]) == (393_469, 71_981)
+        assert (diag["ta_tail_points"], diag["ta_tail_samples"]) == (95_969, 17_201)
+        assert diag["scan_samples"] <= 0.5 * 393_469
+
+    @pytest.mark.parametrize("min_cells", [None, 1], ids=["long-sweeps", "every-sweep"])
+    @pytest.mark.parametrize("k", [700, 3_000])
+    def test_root_on_a_grid_sample_is_named(self, k, min_cells, monkeypatch):
+        # a root at grid sample k, in the first segment (700) or the pruned
+        # second (3,000), away from the peak near sample 4,830
+        if min_cells is not None:
+            monkeypatch.setattr(norms, "_MIN_CELLS", min_cells)
+        step = 2.0 * np.pi / 2.99 / norms.SCAN_DENSITY
+        sys = _with_root(make_sys_a((0.99, 2.0)), k * step)
+        messages = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(norms, "_frequency_cell_bound", lambda *args: None)
+            with pytest.raises(InstabilityError) as err:
+                hinf_norm_T(sys)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"omega={k * step:.6g}" in messages[0]
+
+    def test_samples_next_to_zero_are_in_no_cell(self, monkeypatch):
+        # cells centred on k = 17, 34, 51 and 68 of a 100-sample grid; a bound
+        # of 0 skips all but their centres, and a flagged centre keeps its cell
+        monkeypatch.setattr(norms, "_MIN_CELLS", 1)
+        grid, flag = np.arange(100) * 0.5, []
+
+        def sample(w):
+            return np.ones((len(w), 1)), ~np.isin(w, flag)
+
+        def taken():
+            sigma1, bad, count = norms._cell_sweep(
+                sample, lambda: lambda c, r, step: np.zeros(len(c)), grid, 0.5, lambda top: top)
+            assert count == np.isfinite(sigma1).sum()
+            return np.flatnonzero(np.isfinite(sigma1)), bad
+
+        want = np.r_[0:9, 17, 34, 51, 68, 77:100]
+        at, bad = taken()
+        np.testing.assert_array_equal(at, want)
+        assert bad is None
+        flag.append(17.0)  # sample 34
+        at, bad = taken()
+        np.testing.assert_array_equal(at, np.union1d(want, np.r_[26:43]))
+        assert bad == 17.0
 
 
 def _full_table_denominator(tau):

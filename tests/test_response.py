@@ -1047,3 +1047,87 @@ class TestLowRankKernel:
             tracemalloc.stop()
         assert sys.delay_channels.kernel == "low-rank" and ok.all()
         assert peak < 4 * system_model._STACK_BYTES
+
+
+def cell_case(S, A, E, B, C, tau, c, r, step=None, samples=401):
+    """The bound of :func:`_frequency_cell_bound` on the cell ``[c - r, c + r]`` and
+    the sampler's ``(sigma_1, ok)`` on a dense grid of it (``w >= 0``): ``samples``
+    points, or with a ``step`` every multiple of it in the cell, whose centre then
+    moves to the nearest multiple."""
+    from ddaenorm.response import _frequency_cell_bound, _sample
+    if step is None:
+        w = np.linspace(c - r, c + r, samples)
+    else:
+        k = round(c / step)
+        c = k * step
+        w = np.arange(k - int(r / step), k + int(r / step) + 1) * step
+    w = w[w >= 0.0]
+    bound = _frequency_cell_bound(S, A, E, B, C, tau)(np.array([c]), r, step)[0]
+    sig, ok = _sample(S, B, C, omegas=w, tau=tau, step=step)
+    return bound, sig[:, 0], ok
+
+
+class TestFrequencyCellBound:
+    """The closed-form cell bound of ``n <= 2`` pencils dominates every ``sigma_1``
+    that the sampler computes in its cell, and a cell with a finite bound holds no
+    sample that the sampler flags."""
+
+    @settings(max_examples=120)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2]), m=st.integers(0, 3),
+           kind=st.sampled_from(["regular", "singular", "no-E"]), io=st.sampled_from([1, 2]),
+           c=st.floats(0.0, 60.0), log_r=st.floats(-3.0, 0.5), gridded=st.booleans())
+    def test_dominates_random_cells(self, seed, n, m, kind, io, c, log_r, gridded):
+        # "no-E" is the pencil of T_a on the frequency axis (the map of the torus matrix)
+        from ddaenorm.system_model import _pencil_basis
+        rng = np.random.default_rng(seed)
+        A = tuple(rng.standard_normal((n, n)) * rng.uniform(0.1, 2.0) for _ in range(m + 1))
+        E = {"regular": rng.standard_normal((n, n)), "no-E": None,
+             "singular": np.outer(rng.standard_normal(n), rng.standard_normal(n)) * (n > 1)}[kind]
+        B, C = rng.standard_normal((n, io)), rng.standard_normal((io, n))
+        tau, r = rng.uniform(0.1, 3.0, m), 10.0 ** log_r
+        step = r / 20.0 if gridded else None
+        bound, sigma1, ok = cell_case(_pencil_basis(A, E), A, E, B, C, tau, c, r, step)
+        assume(np.isfinite(bound))
+        assert ok.all()
+        assert sigma1.max() <= bound
+
+    @settings(max_examples=60)
+    @given(n=st.sampled_from([1, 2]), e=st.floats(1.0, 2.0), t=st.floats(0.5, 1.0),
+           d0=st.floats(0.005, 0.02), share=st.floats(0.4, 0.8), io=st.sampled_from([1, 2]))
+    def test_dominates_tight_cells(self, n, e, t, d0, share, io):
+        # x(w) = j w e - a0 + (e / t) e^{-j w t} has x'(0) = 0 and a constant
+        # |x''| = e t, so |x(w)| = |x(0)| -+ e t w^2 / 2 to third order: the
+        # remainder R_D (n = 1, D = x) or R_N (n = 2, N = -x over a constant D)
+        # is the whole change over the cell [-r, r], where it is share |x(0)| and
+        # r t <= 0.18: the bound is within 5% of the samples, and halving either
+        # remainder would put it below them
+        from ddaenorm.system_model import _pencil_basis
+        r = np.sqrt(2.0 * share * d0 / (e * t))
+        if n == 1:  # D(0) = d0 > 0, D'' = -e t at w = 0: |D| falls
+            A, E = (np.array([[e / t - d0]]), np.array([[-e / t]])), np.array([[e]])
+            B, C = np.ones((1, io)), np.ones((io, 1))
+        else:  # M = [[1, x], [0, 1]], x(0) = -d0 < 0, x'' = -e t at w = 0: |N| rises
+            A = (np.array([[-1.0, e / t + d0], [0.0, -1.0]]),
+                 np.array([[0.0, -e / t], [0.0, 0.0]]))
+            E = np.array([[0.0, e], [0.0, 0.0]])
+            B = np.zeros((2, io))
+            B[1, 0] = 1.0
+            C = np.zeros((io, 2))
+            C[0, 0] = 1.0
+        bound, sigma1, ok = cell_case(_pencil_basis(A, E), A, E, B, C, np.array([t]), 0.0, r)
+        assert ok.all()
+        assert sigma1.max() <= bound <= 1.05 * sigma1.max()
+
+    def test_singular_cells_are_not_bounded(self, sys_a):
+        # a cell that holds a characteristic root, or a sample the sampler
+        # flags, gets no finite bound
+        sys = with_root(sys_a, 3.0)
+        bound, _, ok = cell_case(sys.pencil_basis, sys.A, sys.E, sys.B, sys.C, sys.tau, 3.0, 0.01)
+        assert bound == np.inf and not ok.all()
+
+    def test_only_small_pencils(self):
+        from ddaenorm.response import _frequency_cell_bound
+        for n in (0, 3):
+            A = (np.zeros((n, n)), np.zeros((n, n)))
+            assert _frequency_cell_bound(None, A, None, np.zeros((n, 1)), np.zeros((1, n)),
+                                         np.ones(1)) is None
