@@ -320,35 +320,49 @@ def _ascent(f, x, best, delta, r, tol, lo=None, hi=None):
     A start stops when its step or trust radius falls below ``tol`` or a
     stencil point is singular, and all stop after ``_MAX_ASCENT`` calls.
     Returns the points, their values and the number of calls.
+
+    For m = 1 (every frequency polish, a single-delay torus) the loop runs on
+    ``(K,)`` views with :func:`_line_step` and ``|s| = sqrt(s * s)``: the
+    general path's operations in the same order, so the same steps, calls
+    and bits, without its small-matrix set-up.
     """
     x, best = np.array(x, dtype=float), np.array(best, dtype=float)
     K, m = x.shape
     eye = np.eye(m)
     i, j = np.triu_indices(m, 1)
     offsets = r * np.concatenate([eye, -eye, eye[i] + eye[j]])
+    stencil = np.vstack([np.zeros(m), offsets])
     values = f((x[:, None] + offsets).reshape(-1, m)).reshape(K, -1)
     delta = np.full(K, float(delta))
     live = np.isfinite(values).all(axis=1)
+    points = x
+    if m == 1:  # (K,) views: the updates of x reach points
+        x, stencil = x[:, 0], stencil[:, 0]
+        lo, hi = (None, None) if lo is None else (lo[:, 0], hi[:, 0])
     calls = 1
     while calls < _MAX_ASCENT and (k := np.nonzero(live)[0]).size:
-        plus, minus, mixed = values[k, :m], values[k, m:2 * m], values[k, 2 * m:]
-        centre = best[k, None]
-        hess = np.zeros((k.size, m, m))
-        hess[:, np.arange(m), np.arange(m)] = plus - 2.0 * centre + minus
-        hess[:, i, j] = hess[:, j, i] = mixed - plus[:, i] - plus[:, j] + centre
-        step = _trust_step((plus - minus) / (2.0 * r), hess / (r * r), delta[k])
+        if m == 1:
+            plus, minus = values[k, 0], values[k, 1]
+            step = _line_step((plus - minus) / (2.0 * r),
+                              (plus - 2.0 * best[k] + minus) / (r * r), delta[k])
+        else:
+            plus, minus, mixed = values[k, :m], values[k, m:2 * m], values[k, 2 * m:]
+            centre = best[k, None]
+            hess = np.zeros((k.size, m, m))
+            hess[:, np.arange(m), np.arange(m)] = plus - 2.0 * centre + minus
+            hess[:, i, j] = hess[:, j, i] = mixed - plus[:, i] - plus[:, j] + centre
+            step = _trust_step((plus - minus) / (2.0 * r), hess / (r * r), delta[k])
         trial = x[k] + step
         if lo is not None:
             trial = np.clip(trial, lo[k], hi[k])
             step = trial - x[k]
-        length = np.linalg.norm(step, axis=1)
+        length = np.sqrt(step * step) if m == 1 else np.linalg.norm(step, axis=1)
         moving = length >= tol
         live[k[~moving]] = False
         if not moving.any():
             break
         k, trial, length = k[moving], trial[moving], length[moving]
-        out = f((trial[:, None] + np.vstack([np.zeros(m), offsets])).reshape(-1, m))
-        out = out.reshape(k.size, -1)
+        out = f((trial[:, None] + stencil).reshape(-1, m)).reshape(k.size, -1)
         calls += 1
         up = out[:, 0] > best[k]
         a, b = k[up], k[~up]
@@ -358,7 +372,7 @@ def _ascent(f, x, best, delta, r, tol, lo=None, hi=None):
         delta[wide] = np.minimum(2.0 * delta[wide], np.pi)
         delta[b] = 0.25 * length[~up]
         live[b] = delta[b] >= tol
-    return x, best, calls
+    return points, best, calls
 
 
 def _trust_step(grad, hess, delta):
@@ -371,7 +385,8 @@ def _trust_step(grad, hess, delta):
     (lam I - hess)^{-1} grad`` with ``lam > max(0, lambda_max(hess))``
     bisected, on these rows only, until ``0.9 delta <= |s| <= delta``, or for
     60 halvings, which ends with ``|s| <= delta`` when ``grad`` is nearly
-    orthogonal to the top eigenvector.
+    orthogonal to the top eigenvector.  :func:`_line_step` is this step for
+    m = 1, with the same bits.
     """
     w, Q = np.linalg.eigh(hess)
     c = np.matmul(grad[:, None], Q)[:, 0]  # Q^T grad per row
@@ -400,6 +415,41 @@ def _trust_step(grad, hess, delta):
             sb[fit] = t[fit]
         s[b] = sb
     return np.matmul(Q, s[..., None])[..., 0]
+
+
+def _line_step(grad, hess, delta):
+    """:func:`_trust_step` for m = 1 on (K,) arrays, with the same bits.
+
+    ``eigh`` of a 1x1 matrix is the matrix itself with ``Q = 1``, and the
+    norm of a 1-vector is ``sqrt(s * s)``, so each line is the general one.
+    The product with ``Q`` turns a -0.0 step into 0.0, as ``+ 0.0`` does here.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -grad / hess
+    newton = (hess < 0.0) & (np.sqrt(s * s) <= delta)
+    if newton.all():  # no row for the hard case or the bisection
+        return s + 0.0
+    s[~newton] = 0.0
+    g = np.sqrt(grad * grad)
+    hard = ~newton & ~(g > 0.0) & (hess > 0.0)
+    s[hard] = delta[hard]
+    if (b := np.nonzero(~newton & (g > 0.0))[0]).size:
+        c, w, delta = grad[b], hess[b], delta[b]
+        lo = np.maximum(w, 0.0)
+        hi = lo + g[b] / delta
+        sb = c / (hi - w)
+        for _ in range(60):
+            if not (short := np.sqrt(sb * sb) < 0.9 * delta).any():
+                break
+            lam = 0.5 * (lo + hi)
+            t = c / (lam - w)
+            over = np.sqrt(t * t) > delta
+            lo = np.where(short & over, lam, lo)
+            fit = short & ~over
+            hi = np.where(fit, lam, hi)
+            sb[fit] = t[fit]
+        s[b] = sb
+    return s + 0.0
 
 
 def strong_norm_Ta(dec: BlockDecomposition) -> NormResult:

@@ -644,6 +644,8 @@ def sigma_T_samples(sys: DdaeSystem, omegas, tau=None, *, step=None):
     Returns ``(sigmas, ok)`` where ``sigmas`` has one descending row of
     singular values per frequency and ``ok`` flags samples where the
     characteristic matrix was safely invertible; failed rows are NaN.
+    ``omegas`` must be 1-D (``ValueError`` otherwise); an empty grid gives
+    ``(0, k)`` sigmas and an empty ``ok``.
 
     ``step`` promises that every frequency is ``k * step`` for an integer
     ``k``, exactly: the phases ``e^{-j w tau_i}`` then come from short
@@ -652,20 +654,27 @@ def sigma_T_samples(sys: DdaeSystem, omegas, tau=None, *, step=None):
     off that grid raises ``ValueError``.
     """
     tau = _resolve_tau(sys.tau if tau is None else tau, sys.m)
-    omegas = np.asarray(omegas, dtype=float)
-    return _joined(_T_map(_sigma_chunk, sys, omegas, tau, rhs=sys.p_in + 1,
+    return _joined(_T_map(_sigma_chunk, sys, _resolve_omegas(omegas), tau, rhs=sys.p_in + 1,
                           step=_resolve_step(step)))
 
 
 def sigma_Ta_samples(dec: BlockDecomposition, omegas, tau, *, step=None):
     """Singular values of ``T_a(j w)`` on a frequency grid (NaN where singular).
 
-    This is the torus function at ``theta = w * tau``.  ``step`` is the
-    promise of :func:`sigma_T_samples`.
+    This is the torus function at ``theta = w * tau``.  ``omegas`` and
+    ``step`` are as in :func:`sigma_T_samples`.
     """
     tau = _resolve_tau(tau, dec.m)
-    return _sample(dec.pencil_basis, dec.B2, dec.C2, omegas=np.asarray(omegas, dtype=float),
-                   tau=tau, step=_resolve_step(step))
+    return _sample(dec.pencil_basis, dec.B2, dec.C2, omegas=_resolve_omegas(omegas), tau=tau,
+                   step=_resolve_step(step))
+
+
+def _resolve_omegas(omegas) -> np.ndarray:
+    """A sampler's frequencies as a float array; ``ValueError`` unless they are 1-D."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D grid, got shape {omegas.shape}")
+    return omegas
 
 
 def _resolve_step(step):

@@ -765,7 +765,7 @@ def _pencil_stack(S, n, omegas=None, tau=None, thetas=None, step=None) -> np.nda
             np.sin(phase, out=X[K - m:])
             np.cos(phase, out=phase)
     M = np.empty((N, S.shape[1] // (2 * max(n, 1)), n), dtype=complex)
-    V = M.reshape(N, -1).view(np.float64)
+    V = M.reshape(N, M.shape[1] * n).view(np.float64)
     if n > 2:
         np.matmul(np.ascontiguousarray(X.T)[:, None], S, out=V[:, None])
     elif N != 1:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddaenorm import (
     BRANCH_ASYMPTOTIC,
@@ -420,6 +420,210 @@ class TestBracketedAscent:
         radii = step * np.array([1e-6, 1e-5, 1e-4, 1e-3])
         near = x[:, None] + np.concatenate([radii, -radii])
         assert (_bumps(near, bumps).max(axis=1) <= best * (1.0 + 1e-12)).all()
+
+
+def _reference_ascent(f, x, best, delta, r, tol, lo=None, hi=None):
+    """:func:`norms._ascent` before its m = 1 lane: the general path, verbatim."""
+    x, best = np.array(x, dtype=float), np.array(best, dtype=float)
+    K, m = x.shape
+    eye = np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    offsets = r * np.concatenate([eye, -eye, eye[i] + eye[j]])
+    values = f((x[:, None] + offsets).reshape(-1, m)).reshape(K, -1)
+    delta = np.full(K, float(delta))
+    live = np.isfinite(values).all(axis=1)
+    calls = 1
+    while calls < norms._MAX_ASCENT and (k := np.nonzero(live)[0]).size:
+        plus, minus, mixed = values[k, :m], values[k, m:2 * m], values[k, 2 * m:]
+        centre = best[k, None]
+        hess = np.zeros((k.size, m, m))
+        hess[:, np.arange(m), np.arange(m)] = plus - 2.0 * centre + minus
+        hess[:, i, j] = hess[:, j, i] = mixed - plus[:, i] - plus[:, j] + centre
+        step = _reference_trust_step((plus - minus) / (2.0 * r), hess / (r * r), delta[k])
+        trial = x[k] + step
+        if lo is not None:
+            trial = np.clip(trial, lo[k], hi[k])
+            step = trial - x[k]
+        length = np.linalg.norm(step, axis=1)
+        moving = length >= tol
+        live[k[~moving]] = False
+        if not moving.any():
+            break
+        k, trial, length = k[moving], trial[moving], length[moving]
+        out = f((trial[:, None] + np.vstack([np.zeros(m), offsets])).reshape(-1, m))
+        out = out.reshape(k.size, -1)
+        calls += 1
+        up = out[:, 0] > best[k]
+        a, b = k[up], k[~up]
+        x[a], best[a], values[a] = trial[up], out[up, 0], out[up, 1:]
+        live[a] = np.isfinite(values[a]).all(axis=1)
+        wide = a[length[up] >= 0.9 * delta[a]]
+        delta[wide] = np.minimum(2.0 * delta[wide], np.pi)
+        delta[b] = 0.25 * length[~up]
+        live[b] = delta[b] >= tol
+    return x, best, calls
+
+
+def _reference_trust_step(grad, hess, delta):
+    """:func:`norms._trust_step` as the general path of :func:`_reference_ascent` took it."""
+    w, Q = np.linalg.eigh(hess)
+    c = np.matmul(grad[:, None], Q)[:, 0]  # Q^T grad per row
+    top = w[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -c / w
+    newton = (top < 0.0) & (np.linalg.norm(s, axis=1) <= delta)
+    s[~newton] = 0.0
+    g = np.linalg.norm(grad, axis=1)
+    hard = ~newton & ~(g > 0.0) & (top > 0.0)
+    s[hard, -1] = delta[hard]
+    if (b := np.nonzero(~newton & (g > 0.0))[0]).size:
+        c, w, delta = c[b], w[b], delta[b]
+        lo = np.maximum(top[b], 0.0)
+        hi = lo + g[b] / delta  # |s(hi)| <= |c| / (hi - lambda_max) = delta
+        sb = c / (hi[:, None] - w)
+        for _ in range(60):
+            if not (short := np.linalg.norm(sb, axis=1) < 0.9 * delta).any():
+                break
+            lam = 0.5 * (lo + hi)
+            t = c / (lam[:, None] - w)
+            over = np.linalg.norm(t, axis=1) > delta
+            lo = np.where(short & over, lam, lo)
+            fit = short & ~over
+            hi = np.where(fit, lam, hi)
+            sb[fit] = t[fit]
+        s[b] = sb
+    return np.matmul(Q, s[..., None])[..., 0]
+
+
+def _even_profile(bumps, slope, holes):
+    """``g(|x|)`` for points ``(N, 1)``: rational bumps plus ``slope |x|``, ``-inf`` and NaN
+    on the intervals ``holes``, so ``x = 0`` is a critical point with positive curvature."""
+    def f(x):
+        y = np.abs(x[:, 0])
+        v = _bumps(y, bumps) + slope * y
+        for (start, width), fill in zip(holes, (-np.inf, np.nan)):
+            v[(start <= y) & (y <= start + width)] = fill
+        return v
+    return f
+
+
+_edge_floats = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                         1e-160, -1e-160, 1e160, -1e160]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _both_ascents(f, start, *args):
+    """``(x, best, calls)`` and every sampled point, as bytes, of the lane and of the
+    general path; ``f`` takes points ``(N, 1)``."""
+    runs = []
+    for ascent in (norms._ascent, _reference_ascent):
+        points = []
+
+        def recorded(x):
+            points.append(x.copy())
+            return f(x)
+
+        x, best, calls = ascent(recorded, start, *args)
+        runs.append((x.shape, x.tobytes(), best.tobytes(), calls, [p.tobytes() for p in points]))
+    return runs
+
+
+class TestLineAscent:
+    """The m = 1 lane of :func:`norms._ascent` against the general path, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 10.0), st.floats(0.05, 3.0)),
+                    min_size=1, max_size=3),
+           st.sampled_from([0.0, 0.05, 1.0]),
+           st.lists(st.tuples(st.floats(0.5, 12.0), st.floats(0.0, 1.0)), max_size=2),
+           st.integers(1, 400), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.01, 1.0), st.sampled_from([1e-5, 1e-2]), st.sampled_from([1e-10, 1e-8]),
+           st.booleans())
+    def test_same_bits_as_the_general_path(self, bumps, slope, holes, K, seed, step, radius,
+                                           tol, clipped):
+        # K starts: 0, the grid's local maxima (as the frequency polish takes them) and
+        # uniform points, mixed; bracketed by one step and clipped at 0, or free
+        f = _even_profile(bumps, slope, holes)
+        rng = np.random.default_rng(seed)
+        grid = np.arange(0.0, 12.0, step)
+        peaks = grid[norms._local_max_indices(f(grid[:, None]))]
+        start = np.concatenate([[0.0], peaks, rng.uniform(0.0, 12.0, K)])[:K]
+        start = rng.permutation(start)[:, None]
+        bounds = (np.maximum(start - step, 0.0), start + step) if clipped else ()
+        lane, general = _both_ascents(f, start, f(start), step, radius * step, tol, *bounds)
+        assert lane == general
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_edge_floats, _edge_floats, st.floats(1e-300, np.pi)),
+                    min_size=1, max_size=40))
+    @example([(-0.0, -1.0, 0.5)])  # a zero Newton step, alone and beside the other cases
+    @example([(-0.0, -1.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)])
+    def test_step_same_bits_as_the_general_step(self, rows):
+        # signed zeros, infinities, NaN and squares that overflow or underflow
+        grad, hess, delta = map(np.array, zip(*rows))
+        with np.errstate(all="ignore"):
+            lane = norms._line_step(grad.copy(), hess.copy(), delta.copy())
+            general = _reference_trust_step(grad[:, None], hess[:, None, None], delta)[:, 0]
+        assert lane.tobytes() == general.tobytes()
+
+    def test_every_branch(self, monkeypatch):
+        taken = Counter()
+        step = norms._line_step
+
+        def counted(grad, hess, delta):
+            newton = (hess < 0.0) & (np.abs(grad) <= -hess * delta)
+            taken["newton"] += int(newton.sum())
+            taken["hard"] += int((~newton & (grad == 0.0) & (hess > 0.0)).sum())
+            taken["bisection"] += int((~newton & (grad != 0.0)).sum())
+            return step(grad, hess, delta)
+
+        monkeypatch.setattr(norms, "_line_step", counted)
+        h = 0.25
+        # the hard case at 0, Newton steps, the bisection, -inf and NaN stencils
+        f = _even_profile([(1.0, 3.0, 0.5), (0.5, 7.0, 1.0)], 0.05, [(4.5, 0.3), (9.0, 0.2)])
+        start = np.array([0.0, 2.9, 3.6, 4.6, 6.5, 9.1, 11.0])[:, None]
+        lane, general = _both_ascents(f, start, f(start), h, 1e-5 * h, 1e-10,
+                                      np.maximum(start - h, 0.0), start + h)
+        assert lane == general
+        x = np.frombuffer(lane[1])
+        assert x[0] > 0.0 and x[3] == 4.6 and x[5] == 9.1
+        assert np.isneginf(f(start[3:4])).all() and np.isnan(f(start[5:6])).all()
+        # a step clipped at lo = 0, onto a peak at 0
+        f = _even_profile([(1.0, 0.0, 0.05)], 0.0, [])
+        start = np.array([[0.1]])
+        lane, general = _both_ascents(f, start, f(start), h, 1e-5 * h, 1e-10,
+                                      np.zeros((1, 1)), start + h)
+        assert lane == general and np.frombuffer(lane[1])[0] == 0.0
+        # a ramp without bounds (a single-delay torus): the call cap
+        f = _even_profile([], 1.0, [])
+        start = np.array([[11.0]])
+        lane, general = _both_ascents(f, start, f(start), h, 1e-5, 1e-8)
+        assert lane == general and lane[3] == norms._MAX_ASCENT
+        assert taken["newton"] and taken["hard"] and taken["bisection"]
+
+    @pytest.mark.parametrize("norm, make", [
+        (hinf_norm_T, lambda: make_sys_a((0.999, 2.0))),
+        (strong_hinf_norm_T, lambda: make_sys_a((1.0, np.sqrt(2.0)))),
+        (lambda sys: strong_norm_Ta(decompose(sys)), lambda: _single_delay_system(6)),
+    ], ids=["plain-0.999", "strong-sqrt2", "single-delay-Ta"])
+    def test_norms_same_as_with_the_general_path(self, monkeypatch, norm, make):
+        lane = norm(make())
+        monkeypatch.setattr(norms, "_ascent", _reference_ascent)
+        general = norm(make())
+        assert repr(lane.to_dict()) == repr(general.to_dict())
+        if "refine_cycles" in lane.diagnostics:  # the single-delay torus ascent moves
+            assert lane.diagnostics["refine_cycles"] == 4
+
+
+def _single_delay_system(seed):
+    """A seeded system with one delay and a 2x2 algebraic block."""
+    rng = np.random.default_rng(seed)
+    A0 = np.array([[-2.0, 0.3, 0.2], [0.1, -1.0, 0.4], [0.3, 0.2, -1.2]])
+    A0[1:, 1:] = -np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    A1 = np.zeros((3, 3))
+    A1[1:, 1:] = 0.3 * rng.standard_normal((2, 2))
+    return DdaeSystem(E=np.diag([1.0, 0.0, 0.0]), A=(A0, A1), B=rng.standard_normal((3, 1)),
+                      C=rng.standard_normal((1, 3)), tau=[1.3])
 
 
 class TestEvaluationCounts:

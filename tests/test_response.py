@@ -17,7 +17,8 @@ from ddaenorm import (
     strong_norm_Ta,
     sweep,
 )
-from conftest import dense_stable_system, formula_T, make_sys_a
+from conftest import (dense_stable_system, formula_T, make_sys_a, random_stable_system,
+                      three_delay_system)
 
 
 class TestFrequencyGrid:
@@ -1131,3 +1132,44 @@ class TestFrequencyCellBound:
             A = (np.zeros((n, n)), np.zeros((n, n)))
             assert _frequency_cell_bound(None, A, None, np.zeros((n, 1)), np.zeros((1, n)),
                                          np.ones(1)) is None
+
+
+class TestSamplerGrids:
+    """Every sampler takes an empty grid, and the frequency samplers only 1-D ones."""
+
+    @pytest.mark.parametrize("make, kernel", [
+        (make_sys_a, "closed-form"),
+        (three_delay_system, "closed-form"),
+        (lambda: random_stable_system(4), "dense"),
+        (lambda: random_stable_system(5), "dense"),
+        (lambda: dense_stable_system(1, 40), "low-rank"),
+    ], ids=["SYS-A", "three-delay", "random-4", "random-5", "n40"])
+    def test_empty_grids(self, make, kernel):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_samples, sigma_Ta_torus_samples
+        sys = make()
+        dec = decompose(sys)
+        assert sys.delay_channels.kernel == kernel
+        h = 0.25
+        one_T = sigma_T_samples(sys, [h])[0].shape[1]
+        one_Ta = sigma_Ta_samples(dec, [h], sys.tau)[0].shape[1]
+        for (sig, ok), width in (
+                (sigma_T_samples(sys, []), one_T),
+                (sigma_T_samples(sys, [], step=h), one_T),
+                (sigma_Ta_samples(dec, [], sys.tau), one_Ta),
+                (sigma_Ta_samples(dec, [], sys.tau, step=h), one_Ta),
+                (sigma_Ta_torus_samples(dec, np.zeros((0, dec.m))), one_Ta)):
+            assert sig.shape == (0, width) and sig.dtype == float
+            assert ok.shape == (0,) and ok.dtype == bool
+
+    @pytest.mark.parametrize("make", [make_sys_a, lambda: dense_stable_system(1, 40)],
+                             ids=["SYS-A", "n40"])
+    def test_grids_must_be_one_dimensional(self, make):
+        from ddaenorm.response import sigma_T_samples, sigma_Ta_samples
+        sys = make()
+        dec = decompose(sys)
+        for omegas in (1.0, [[1.0, 2.0]], [[1.0], [2.0]], np.zeros((0, 1))):
+            for kwargs in ({}, {"step": 0.5}):
+                with pytest.raises(ValueError, match="omegas must be a 1-D grid"):
+                    sigma_T_samples(sys, omegas, **kwargs)
+                with pytest.raises(ValueError, match="omegas must be a 1-D grid"):
+                    sigma_Ta_samples(dec, omegas, sys.tau, **kwargs)
