@@ -34,7 +34,8 @@ from .errors import InstabilityError, UnboundedNormError
 from .response import (
     _frequency_cell_bound,
     _sigma_chunk,
-    _singular_values,
+    _times,
+    _top_singular_value,
     _transfer,
     sigma_T_samples,
     sigma_Ta_samples,
@@ -154,7 +155,7 @@ def _sweep_widths(dec: BlockDecomposition) -> tuple:
     16, 8 and 4 for m = 2.  For m = 3, 16, 8, 4 and 2 where ``nu >= 3`` and
     the transfer ``C2 (.) B2`` is a vector or 2x2: a row then costs a LAPACK
     solve, while a cell's ``2^m`` vertices take the closed form of
-    :func:`_singular_values`.  Otherwise (m = 1, m >= 4, ``nu <= 2`` or a
+    :func:`_top_singular_value`.  Otherwise (m = 1, m >= 4, ``nu <= 2`` or a
     wider transfer) 8, then 4, where the other rounds cost more than they
     saved or were not measured to save.
     """
@@ -199,18 +200,21 @@ def _cell_bounds(dec: BlockDecomposition):
     conditions are ``q <= 1/2`` and ``u kappa <= 1e-3``, with ``u =
     _ROUNDING_SLACK (n + m) eps``.
 
-    Rounding.  Every centre is factored once, by the sampler's kernel:
-    ``_transfer(M, [B2, I], [C2; I])`` gives ``T(c)``, the sampler's value,
-    ``C2 X``, ``X B2`` and ``X``, the computed ``G``, from one solve against
-    ``[B2 | I | r]`` for ``n >= 3`` and Cramer's adjugate for ``n <= 2``.
-    With ``s = u kappa ||C2||_F ||G||_F ||B2||_F / (1 - q)``, the errors
-    below add up to at most ``5.6 s``, and the bound adds ``6 s +
-    _UNDERFLOW``.  A solved column is off by ``u kappa ||G||`` times the norm
-    of its right-hand side, as a solve's backward error ``p(n) eps ||M||``
-    (``p(n)`` a modest multiple of ``n``, as partial pivoting's growth factor
-    is in practice) is amplified by the condition number, and so is the
-    forward-stable adjugate: ``||X - G|| <= u kappa ||G||``, and ``X B2``,
-    solved against ``B2``, is within the bound of a product with ``X``.
+    Rounding.  Every centre is factored once, by the sampler's kernel.  For
+    ``n >= 3``, ``_transfer(M, [B2, I], None)`` solves once against ``[B2 |
+    I | r]``: ``X B2`` and ``X``, the computed ``G``, are the solve's own
+    columns, and ``C2 [X B2, X]`` is one product (:func:`_times`), which
+    gives ``T(c)``, the sampler's value, and ``C2 X``.  For ``n <= 2``,
+    ``_transfer(M, [B2, I], [C2; I])`` gives all four from Cramer's
+    adjugate map, as the sampler gets its ``T(c)``.  With ``s = u kappa
+    ||C2||_F ||G||_F ||B2||_F / (1 - q)``, the errors below add up to at most
+    ``5.6 s``, and the bound adds ``6 s + _UNDERFLOW``.  A solved column is
+    off by ``u kappa ||G||`` times the norm of its right-hand side, as a
+    solve's backward error ``p(n) eps ||M||`` (``p(n)`` a modest multiple of
+    ``n``, as partial pivoting's growth factor is in practice) is amplified
+    by the condition number, and so is the forward-stable adjugate:
+    ``||X - G|| <= u kappa ||G||``, and ``X B2``, solved against ``B2``, is
+    within the bound of a product with ``X``.
 
     * A computed row's ``sigma_1`` against the exact one (``s``): it is the
       exact one of a pencil perturbed by the assembly (``(2 m + 2) eps`` times
@@ -245,11 +249,14 @@ def _cell_bounds(dec: BlockDecomposition):
     Bw, Cw = np.concatenate([B2, np.eye(n)], axis=1), np.concatenate([C2, np.eye(n)])
 
     def chunk(M, c, r):
-        W, ok, _ = _transfer(M, Bw, Cw)  # [[T(c), C2 G], [G B2, G]] at the passing centres
-        T, CX, XB, X = W[:, :outs, :ins], W[:, :outs, ins:], W[:, outs:, :ins], W[:, outs:, ins:]
+        # at the passing centres, Y = [G B2, G] and CY = [T(c), C2 G]: for n <= 2 all from
+        # the adjugate map of [C2; I]; for n >= 3 Y is the solve's own columns, CY one product
+        W, ok, _ = _transfer(M, Bw, Cw if n <= 2 else None)
+        CY, Y = (W[:, :outs], W[:, outs:]) if n <= 2 else (_times(C2, W), W)
+        T, CX, XB, X = CY[..., :ins], CY[..., ins:], Y[..., :ins], Y[..., ins:]
         value = _sigma_chunk(T, ok)[0]
         bound, q_all = np.full(len(M), np.inf), np.full(len(M), np.inf)
-        c, r, K = c[ok], 1.01 * r[ok], len(W)
+        c, r, K = c[ok], 1.01 * r[ok], len(T)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             CXA = (CX.reshape(-1, n) @ A).reshape(K, outs * m, n)
             P = (CXA @ XB).reshape(K, outs, m, ins).transpose(0, 2, 1, 3).reshape(K, m, outs * ins)
@@ -258,7 +265,7 @@ def _cell_bounds(dec: BlockDecomposition):
             S = (D[:, :, None] * P).transpose(1, 0, 2).reshape(m, K * outs * ins)
             nv = len(signs)
             vertices = (signs @ S).reshape(nv, K, outs * ins) + T.reshape(K, outs * ins)
-            top = _singular_values(vertices.reshape(nv * K, outs, ins))[:, 0].reshape(nv, K).max(0)
+            top = _top_singular_value(vertices.reshape(nv * K, outs, ins)).reshape(nv, K).max(0)
             ginv = 1.01 * _frobenius(X)
             cg = 1.01 * _frobenius(CX)
             gb = 1.01 * _frobenius(XB)

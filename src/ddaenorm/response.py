@@ -40,10 +40,11 @@ the flattened stack with a cached map, and the exact test
 ``sigma_min(M) > RCOND_MIN * sigma_max(M)`` follows from
 ``sigma_1^2 + sigma_2^2 = ||M||_F^2`` and ``sigma_1 sigma_2 = |det M|``, with
 a small one-sided slack for roundoff.  A sample whose squared norm could
-over- or underflow takes the SVD instead.  For ``n >= 3`` the singularity
-test is read off the solve: the one solve against ``[B | r]``,
-with ``r`` a fixed probe vector, also gives a lower bound of the condition
-number, from the row norms of ``M`` and the norm of ``M^{-1} r``.  It is
+over- or underflow takes the SVD instead.  For ``n >= 3``, ``C M^{-1} B``
+is one 2-D GEMM per chunk (:func:`_times`), and the singularity test is
+read off the solve: the one solve against ``[B | r]``, with ``r`` a fixed
+probe vector, also gives a lower bound of the condition number, from the
+row norms of ``M`` and the norm of ``M^{-1} r``.  It is
 one-sided: every flagged sample also fails the exact test, while a sample
 just below the threshold (``sigma_min / sigma_max`` roughly in
 ``(1e-16, 1e-14]``) may pass.  Only a sample whose LU factorisation meets an
@@ -190,11 +191,29 @@ def _svd_rcond(M) -> np.ndarray:
     return rcond
 
 
+def _gemm(A, B) -> np.ndarray:
+    """``A @ B`` as one GEMM: a one-row ``A`` is padded to two rows, as a one-row product
+    takes gemv, whose bits are not GEMM's, so a lone sample would lose its batched bits."""
+    return (A @ B if len(A) != 1 else np.concatenate([A, A]) @ B)[:len(A)]
+
+
+def _times(C, X):
+    """``C @ X`` for a real ``(q, n)`` ``C`` (None: the identity) and a complex stack ``X``
+    ``(N, n, p)``: one :func:`_gemm` of ``C`` with the real view of ``X``, laid out as
+    ``(n, 2 N p)``.  Real pairs give the complex product's bits, where a stacked product
+    makes one small BLAS call per sample."""
+    if C is None:
+        return X
+    N, n, p = X.shape
+    CY = _gemm(C, X.view(np.float64).transpose(1, 0, 2).reshape(n, 2 * N * p))
+    return np.ascontiguousarray(CY.reshape(len(C), N, 2 * p).transpose(1, 0, 2)).view(complex)
+
+
 def _exact_transfer(M, B, C):
     """:func:`_transfer` decided by the exact ratio from singular values, then solved."""
     rcond = _svd_rcond(M)
     ok = rcond > RCOND_MIN
-    return C @ np.linalg.solve(M[ok], B[None]), ok, rcond
+    return _times(C, np.linalg.solve(M[ok], B[None])), ok, rcond
 
 
 def _transfer(M, B, C):
@@ -215,7 +234,8 @@ def _transfer(M, B, C):
     passing samples only, ``ok`` flags them and ``rcond`` holds ``1 / kappa``
     or the exact ratio per sample for error messages (a flagged sample always
     has its exact ratio at ``n <= 2``, and a sample with a non-finite entry
-    NaN), or is None when every sample passes.
+    NaN), or is None when every sample passes.  For ``n >= 3`` (only), ``C``
+    None gives the solve's own columns, ``M^{-1} B``.
     """
     N, n, _ = M.shape
     p = B.shape[1]
@@ -242,7 +262,7 @@ def _transfer(M, B, C):
             rcond[inexact] = _svd_rcond(M[inexact])
             ok[inexact] = rcond[inexact] > RCOND_MIN
         X = X[ok]  # keep the passing samples only
-    return C @ X[..., :p], ok, rcond
+    return _times(C, X[..., :p]), ok, rcond
 
 
 @lru_cache(maxsize=64)
@@ -299,9 +319,7 @@ def _cramer(M, B, C):
         q /= F  # r = 2 q / (1 + sqrt(1 - 4 q^2)), clipped against roundoff at q = 1/2
         rcond = 2.0 * q / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * q * q, 0.0)))
         V, det = V[ok], det[ok]
-    # a one-row product would take another BLAS routine: pad it to two rows
-    VW = (V @ W if len(V) != 1 else np.concatenate([V, V]) @ W)[:len(V)]
-    return (VW / det[:, None]).reshape(len(V), C.shape[0], B.shape[1]), ok, rcond
+    return (_gemm(V, W) / det[:, None]).reshape(len(V), C.shape[0], B.shape[1]), ok, rcond
 
 
 def _frequency_cell_bound(S, A, E, B, C, tau):
@@ -424,8 +442,10 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau, step=None):
     With ``ch = sys.delay_channels``, ``M = P(j w) - U D V^T`` and
     ``G_XY = X P(j w)^{-1} Y``, Woodbury's identity gives
     ``T = G_CB + G_CU D (I - G_VU D)^{-1} G_VB``.  The projections come from
-    one product ``L diag(d) R`` with ``d = 1 / (1 + (j w - s0) lam)``, and
-    the capacitance matrix ``I - G_VU D`` is ``r x r``.
+    one product ``L diag(d) R`` with ``d = 1 / (1 + (j w - s0) lam)``, a 2-D
+    GEMM (:func:`_gemm`) of the flattened ``(N (p_out + r), n)`` stack
+    ``L diag(d)`` with ``R``, and the capacitance matrix ``I - G_VU D`` is
+    ``r x r``.
 
     The dense kernel keeps every sample that the low-rank one could get
     wrong, and decides the singularity test on it: a sample where
@@ -451,7 +471,8 @@ def _low_rank_transfer(sys: DdaeSystem, omegas, tau, step=None):
     T = np.empty((N, q, p), dtype=complex)
     low = np.flatnonzero(~dense)
     if low.size:
-        G = (ch.L * d[low, None, :]) @ ch.R  # [C; V^T] P^{-1} [B, r, U]
+        G = _gemm((ch.L * d[low, None, :]).reshape(-1, n), ch.R).reshape(
+            len(low), q + r, p + r + 1)  # [C; V^T] P^{-1} [B, r, U]
         D = _pencil_stack(ch.D, r, omegas[low], tau, step=step)
         cap = np.eye(r) - G[:, q:, p + 1:] @ D
         try:
@@ -485,7 +506,8 @@ def _split(M, B, C, exact, rest):
     ``rest`` at the others, so that a sample gets the same result in any chunk."""
     parts = [(np.flatnonzero(w), solve(M[w], B, C))
              for w, solve in ((exact, _exact_transfer), (~exact, rest))]
-    return _scatter(np.empty((len(M), C.shape[0], B.shape[1]), dtype=complex), parts)
+    rows = M.shape[1] if C is None else len(C)
+    return _scatter(np.empty((len(M), rows, B.shape[1]), dtype=complex), parts)
 
 
 def _scatter(T, parts):
@@ -524,18 +546,24 @@ def _T_map(fn, sys: DdaeSystem, omegas, tau, rhs=0, step=None) -> list:
             for sl in _chunks(len(omegas), entries)]
 
 
-def _sigma_2x2(T) -> np.ndarray:
-    """Descending singular values of a stack of 2x2 matrices, in closed form.
-
-    From the Gram entries ``a``, ``c`` (squared column norms) and ``b`` (the
-    column inner product): ``sigma_1^2 = (a + c) / 2 + hypot((a - c) / 2, |b|)``
-    and ``sigma_2 = |det T| / sigma_1`` (0 when ``sigma_1`` is 0).
-    """
+def _top_singular_value(T) -> np.ndarray:
+    """``sigma_1`` of each matrix of a stack ``(N, p, q)``: for 2x2 matrices the closed form
+    ``sigma_1^2 = (a + c) / 2 + hypot((a - c) / 2, |b|)`` from the Gram entries ``a``, ``c``
+    (squared column norms) and ``b`` (column inner product), else :func:`_singular_values`."""
+    if T.shape[1:] != (2, 2):
+        return _singular_values(T)[:, 0]
     V = T.view(np.float64)  # squared column norms without a stack-sized temporary
     s = np.einsum("kij,kij->kj", V, V)
     a, c = s[:, 0] + s[:, 1], s[:, 2] + s[:, 3]
     b = np.abs(np.einsum("ki,ki->k", T[:, :, 0].conj(), T[:, :, 1]))
-    s1 = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+    return np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b))
+
+
+def _sigma_2x2(T) -> np.ndarray:
+    """Descending singular values of a stack of 2x2 matrices, in closed form:
+    ``sigma_1`` from :func:`_top_singular_value` and ``sigma_2 = |det T| /
+    sigma_1`` (0 when ``sigma_1`` is 0)."""
+    s1 = _top_singular_value(T)
     det = np.abs(T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0])
     s2 = np.divide(det, s1, out=np.zeros_like(s1), where=s1 > 0.0)
     return np.stack([s1, np.minimum(s2, s1)], axis=1)

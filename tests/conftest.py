@@ -280,3 +280,8 @@ def dense_stable_system(seed, n, nu=2, m=2, p=2, tau=(1.0, 2.0)):
     return DdaeSystem(E=(block_norms / 30.0) * (Uperp @ Vperp.T),
                       A=(A0,) + tuple(U @ Ai @ V.T for Ai in A22[1:]),
                       B=Uperp @ B1 + U @ B2, C=B1.T @ Vperp.T + C2 @ V.T, tau=list(tau))
+
+
+def with_ports(sys, outputs=None, inputs=None):
+    """``sys`` with the first ``outputs`` rows of ``C`` and ``inputs`` columns of ``B``."""
+    return DdaeSystem(E=sys.E, A=sys.A, B=sys.B[:, :inputs], C=sys.C[:outputs], tau=sys.tau)

@@ -42,6 +42,7 @@ from conftest import (
     make_sys_b,
     random_stable_system,
     three_delay_system,
+    with_ports,
 )
 
 
@@ -1173,7 +1174,10 @@ class TestCellBound:
         lambda: dense_stable_system(1, 10, nu=2),
         lambda: dense_stable_system(1, 6, nu=4, m=3, tau=(1.0, 2.0, 3.0)),
         lambda: dense_stable_system(1, 10, nu=8),
-    ], ids=["SYS-A", "SYS-B", "nu2", "nu4-m3", "nu8"])
+        # transfers of one output (a padded product) and of one input
+        lambda: dense_stable_system(1, 6, nu=4, m=3, p=1, tau=(1.0, 2.0, 3.0)),
+        lambda: with_ports(dense_stable_system(1, 10, nu=4, p=3), inputs=1),
+    ], ids=["SYS-A", "SYS-B", "nu2", "nu4-m3", "nu8", "nu4-m3-siso", "nu4-3x1"])
     def test_centre_values_are_the_samplers(self, monkeypatch, make):
         # the sweep is bit for bit because every centre's value is the sampler's
         # sigma_1 there (NaN where it is flagged), whatever the cell's round

@@ -18,7 +18,7 @@ from ddaenorm import (
     sweep,
 )
 from conftest import (dense_stable_system, formula_T, make_sys_a, random_stable_system,
-                      three_delay_system)
+                      three_delay_system, with_ports)
 
 
 class TestFrequencyGrid:
@@ -293,7 +293,13 @@ class TestPencilKernel:
         # 2x2 pencils of T and of the torus with non-integer coefficients, where
         # SYS-A's small integers would hide the rounding of the product
         lambda: random_system(np.random.default_rng(28), n=2),
-    ], ids=["SYS-A", "n10", "nu8", "n40", "n2"])
+        # one-row C of an n >= 3 pencil, whose product is padded to two rows:
+        # a one-output dense T and nu = 8 torus, a 1x3 T and nu = 4 torus, and
+        # a one-output nu = 4, m = 3 torus
+        lambda: dense_stable_system(1, 10, nu=8, p=1),
+        lambda: with_ports(dense_stable_system(1, 10, nu=4, p=3), outputs=1),
+        lambda: dense_stable_system(1, 6, nu=4, m=3, p=1, tau=(1.0, 2.0, 3.0)),
+    ], ids=["SYS-A", "n10", "nu8", "n40", "n2", "nu8-siso", "nu4-1x3", "nu4-m3-siso"])
     def test_one_point_is_bit_identical_to_batched(self, make):
         from ddaenorm.response import _T_map, _transfer, sigma_T_samples, sigma_Ta_torus_samples
         from ddaenorm.system_model import _pencil_map
